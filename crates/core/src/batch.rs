@@ -20,7 +20,9 @@
 //!   [`ArithOracle`]: O(1) class-table verdicts for unary and
 //!   same-primitive-root pairs, confirming *and* refuting, before any
 //!   structure exists), fingerprint-based refutation of inequivalent
-//!   pairs *without* entering the game, union-find class merging for
+//!   pairs *without* entering the game, canonical-pair sharing through a
+//!   verdict memo and the transposition table's root entries (one tier
+//!   cascade, see [`BatchSolver`]), union-find class merging for
 //!   [`BatchSolver::classify`], and a work-stealing parallel pair grid
 //!   (`std::thread::scope`) with per-worker solver reuse
 //!   ([`EfSolver::rebind`]).
@@ -252,6 +254,10 @@ pub struct BatchStats {
     /// Queries answered from the *canonical* verdict memo — a pair whose
     /// letter-renamed or swapped image was already decided ([`crate::canon`]).
     pub canon_hits: u64,
+    /// Queries answered from the canonical root entry of the transposition
+    /// table — a pair some earlier solve (possibly of another batch sharing
+    /// the table) decided; no solver ran.
+    pub table_root_hits: u64,
     /// Entries currently held in the verdict memo.
     pub memo_entries: u64,
     /// Aggregated counters of every solver run by this batch.
@@ -271,6 +277,7 @@ impl BatchStats {
         self.pairs_solved += other.pairs_solved;
         self.memo_hits += other.memo_hits;
         self.canon_hits += other.canon_hits;
+        self.table_root_hits += other.table_root_hits;
         self.memo_entries += other.memo_entries;
         self.solver.absorb(&other.solver);
         self.wall += other.wall;
@@ -284,7 +291,7 @@ impl std::fmt::Display for BatchStats {
             "{} structures built, {} arith-confirmed, {} arith-refuted, \
              {} fingerprint-refuted, {} rank2-refuted, \
              {} solver-decided, {} memo hits ({} entries), {} canon hits, \
-             {} solver states, {} table hits, {:.3?} wall",
+             {} table-root hits, {} solver states, {} table hits, {:.3?} wall",
             self.structures_built,
             self.arith_confirmations,
             self.arith_refutations,
@@ -294,96 +301,11 @@ impl std::fmt::Display for BatchStats {
             self.memo_hits,
             self.memo_entries,
             self.canon_hits,
+            self.table_root_hits,
             self.solver.states_explored,
             self.solver.table_hits,
             self.wall
         )
-    }
-}
-
-/// A `Send + Sync` accumulator of [`BatchStats`], for engines whose one
-/// shared handle serves concurrent bulk-≡_k requests (`fc serve`).
-/// Requests run on private `BatchSolver`s (the existing single-threaded
-/// paths, byte-identical displays) and [`SharedBatchStats::record`] their
-/// final counters, so concurrent requests never lose updates.
-#[derive(Debug, Default)]
-pub struct SharedBatchStats {
-    batches: AtomicU64,
-    structures_built: AtomicU64,
-    arith_confirmations: AtomicU64,
-    arith_refutations: AtomicU64,
-    fingerprint_refutations: AtomicU64,
-    rank2_refutations: AtomicU64,
-    pairs_solved: AtomicU64,
-    memo_hits: AtomicU64,
-    canon_hits: AtomicU64,
-    solver_states: AtomicU64,
-    table_hits: AtomicU64,
-    table_misses: AtomicU64,
-    wall_nanos: AtomicU64,
-}
-
-impl SharedBatchStats {
-    /// An all-zero accumulator.
-    pub fn new() -> SharedBatchStats {
-        SharedBatchStats::default()
-    }
-
-    /// Merges one finished batch's counters.
-    pub fn record(&self, stats: &BatchStats) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.structures_built
-            .fetch_add(stats.structures_built, Ordering::Relaxed);
-        self.arith_confirmations
-            .fetch_add(stats.arith_confirmations, Ordering::Relaxed);
-        self.arith_refutations
-            .fetch_add(stats.arith_refutations, Ordering::Relaxed);
-        self.fingerprint_refutations
-            .fetch_add(stats.fingerprint_refutations, Ordering::Relaxed);
-        self.rank2_refutations
-            .fetch_add(stats.rank2_refutations, Ordering::Relaxed);
-        self.pairs_solved
-            .fetch_add(stats.pairs_solved, Ordering::Relaxed);
-        self.memo_hits.fetch_add(stats.memo_hits, Ordering::Relaxed);
-        self.canon_hits
-            .fetch_add(stats.canon_hits, Ordering::Relaxed);
-        self.solver_states
-            .fetch_add(stats.solver.states_explored, Ordering::Relaxed);
-        self.table_hits
-            .fetch_add(stats.solver.table_hits, Ordering::Relaxed);
-        self.table_misses
-            .fetch_add(stats.solver.table_misses, Ordering::Relaxed);
-        self.wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Number of batches recorded.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// The accumulated counters as a plain [`BatchStats`] (memo-entry and
-    /// per-solver fields other than `states_explored` are zero — they are
-    /// per-solver facts, and the solvers are gone).
-    pub fn snapshot(&self) -> BatchStats {
-        BatchStats {
-            structures_built: self.structures_built.load(Ordering::Relaxed),
-            arith_confirmations: self.arith_confirmations.load(Ordering::Relaxed),
-            arith_refutations: self.arith_refutations.load(Ordering::Relaxed),
-            fingerprint_refutations: self.fingerprint_refutations.load(Ordering::Relaxed),
-            rank2_refutations: self.rank2_refutations.load(Ordering::Relaxed),
-            pairs_solved: self.pairs_solved.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            canon_hits: self.canon_hits.load(Ordering::Relaxed),
-            memo_entries: 0,
-            solver: SolverStats {
-                states_explored: self.solver_states.load(Ordering::Relaxed),
-                table_hits: self.table_hits.load(Ordering::Relaxed),
-                table_misses: self.table_misses.load(Ordering::Relaxed),
-                ..SolverStats::default()
-            },
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-        }
     }
 }
 
@@ -425,12 +347,12 @@ pub struct BatchConfig {
     /// `0` = `equivalent_auto` (one worker per CPU). Grid-level
     /// parallelism is chosen per call site instead (`*_par` methods).
     pub solver_threads: usize,
-    /// Slot budget of the shared transposition table every solver this
-    /// batch runs feeds ([`crate::ttable::TransTable`]). The table is
-    /// bounded (generational eviction), so this is a memory ceiling, not
-    /// a growth rate.
-    pub table_capacity: usize,
 }
+
+/// Slot budget of a batch's private transposition table (one not replaced
+/// by [`BatchSolver::share_table`]). The table is bounded (generational
+/// eviction), so this is a memory ceiling, not a growth rate.
+const PRIVATE_TABLE_CAPACITY: usize = DEFAULT_TABLE_CAPACITY >> 2;
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
@@ -441,12 +363,18 @@ impl Default for BatchConfig {
             use_arith: true,
             arith_periodic: false,
             solver_threads: 1,
-            table_capacity: DEFAULT_TABLE_CAPACITY >> 2,
         }
     }
 }
 
 /// A memoizing bulk ≡_k engine over one [`StructureArena`].
+///
+/// Every query walks one cascade of sound shortcut tiers, cheapest first,
+/// and stops at the first tier that answers: identity → pair
+/// memo → arithmetic oracle → fingerprint → rank-2 profile → canonical
+/// memo → transposition-table root → exact solver. This is the only place
+/// the order is written down; `fc serve`'s `game` and `classify` requests
+/// answer through it too.
 pub struct BatchSolver {
     arena: StructureArena,
     config: BatchConfig,
@@ -458,10 +386,23 @@ pub struct BatchSolver {
     /// (full canonical words in the key), unlike the hashed table below.
     canon_verdicts: HashMap<(Box<[u8]>, u32), bool>,
     /// The transposition table shared by every solver this batch runs
-    /// (tier 4: probed at the canonical root before the exact search, fed
-    /// by every search). May be shared with an outer engine (`fc serve`).
-    table: Arc<TransTable>,
+    /// (probed at the canonical root before the exact search, fed by every
+    /// search). Either shared with an outer engine (`fc serve`) or created
+    /// on the first pair that reaches the table tier.
+    table: OnceLock<Arc<TransTable>>,
     stats: BatchStats,
+}
+
+/// The cascade tier that answered a pair, in walk order.
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    Memo,
+    Arith,
+    Fingerprint,
+    Rank2,
+    CanonMemo,
+    TableRoot,
+    Solver,
 }
 
 impl BatchSolver {
@@ -472,13 +413,12 @@ impl BatchSolver {
 
     /// A batch solver with explicit tuning.
     pub fn with_config(arena: StructureArena, config: BatchConfig) -> BatchSolver {
-        let table = Arc::new(TransTable::new(config.table_capacity));
         BatchSolver {
             arena,
             config,
             verdicts: HashMap::new(),
             canon_verdicts: HashMap::new(),
-            table,
+            table: OnceLock::new(),
             stats: BatchStats::default(),
         }
     }
@@ -487,13 +427,20 @@ impl BatchSolver {
     /// one (e.g. `fc serve`'s per-engine table), so verdict states persist
     /// beyond this batch's lifetime.
     pub fn share_table(&mut self, table: Arc<TransTable>) {
-        self.table = table;
+        self.table = OnceLock::from(table);
     }
 
-    /// The shared transposition table's own counters (hits, misses,
-    /// inserts, evictions, capacity).
+    /// The transposition table's own counters (hits, misses, inserts,
+    /// evictions, capacity); all zero while no pair has reached the table
+    /// tier of a batch with no shared table.
     pub fn table_stats(&self) -> TransTableStats {
-        self.table.stats()
+        self.table.get().map(|t| t.stats()).unwrap_or_default()
+    }
+
+    /// The transposition table, created on first use unless one was shared.
+    fn table(&self) -> &Arc<TransTable> {
+        self.table
+            .get_or_init(|| Arc::new(TransTable::new(PRIVATE_TABLE_CAPACITY)))
     }
 
     /// The underlying arena.
@@ -514,8 +461,7 @@ impl BatchSolver {
         s
     }
 
-    /// Decides `w_i ≡_k w_j` through the memo → fingerprint → solver
-    /// cascade.
+    /// Decides `w_i ≡_k w_j` through the tier cascade.
     pub fn equivalent(&mut self, i: WordId, j: WordId, k: u32) -> bool {
         let t0 = Instant::now();
         let verdict = self.verdict(i, j, k);
@@ -529,116 +475,135 @@ impl BatchSolver {
         if i == j {
             return true; // reflexivity (identical structure on both sides)
         }
-        let key = (i.min(j), i.max(j), k);
-        if let Some(&v) = self.verdicts.get(&key) {
-            self.stats.memo_hits += 1;
-            return v;
+        let (lo, hi) = (i.min(j), i.max(j));
+        let (verdict, tier) = match self.cheap_verdict(i, j, k) {
+            Some(hit) => hit,
+            None => (self.solve(lo, hi, k), Tier::Solver),
+        };
+        self.record(lo, hi, k, verdict, tier);
+        verdict
+    }
+
+    /// The cheap tiers of the cascade, in order, without side effects on
+    /// the batch: the verdict and the tier that gave it, or `None` when
+    /// only the exact solver can decide the pair (`i ≠ j`).
+    fn cheap_verdict(&self, i: WordId, j: WordId, k: u32) -> Option<(bool, Tier)> {
+        let (lo, hi) = (i.min(j), i.max(j));
+        if let Some(&v) = self.verdicts.get(&(lo, hi, k)) {
+            return Some((v, Tier::Memo));
         }
         if let Some(eq) = self.arith_verdict(i, j, k) {
-            if eq {
-                self.stats.arith_confirmations += 1;
-            } else {
-                self.stats.arith_refutations += 1;
-            }
-            self.verdicts.insert(key, eq);
-            return eq;
+            return Some((eq, Tier::Arith));
         }
         if self.config.use_fingerprints {
-            let refuted = if self
+            if self
                 .arena
                 .fingerprint(i)
                 .refutes(self.arena.fingerprint(j), k)
             {
-                self.stats.fingerprint_refutations += 1;
-                true
-            } else if self.config.use_rank2_profiles && k >= 2 {
+                return Some((false, Tier::Fingerprint));
+            }
+            if self.config.use_rank2_profiles && k >= 2 {
                 let cap = self.config.rank2_universe_cap;
-                match (
+                if let (Some(a), Some(b)) = (
                     self.arena.rank2_profile(i, cap),
                     self.arena.rank2_profile(j, cap),
                 ) {
-                    (Some(a), Some(b)) if a != b => {
-                        self.stats.rank2_refutations += 1;
-                        true
+                    if a != b {
+                        return Some((false, Tier::Rank2));
                     }
-                    _ => false,
                 }
-            } else {
-                false
-            };
-            if refuted {
-                // Differential path: a refutation by any invariant layer
-                // must agree with the exact solver — an unsound invariant
-                // is a correctness bug, not a missed optimisation.
-                debug_assert!(
-                    !EfSolver::new(self.arena.game(i, j)).equivalent(k),
-                    "fingerprint unsoundness: {} vs {} wrongly refuted at k={k}",
-                    self.arena.word(i),
-                    self.arena.word(j),
-                );
-                self.verdicts.insert(key, false);
-                return false;
             }
         }
-        // Tier 4: the canonical layers. First the exact canonical memo
-        // (letter-renamed / swapped images of an already-decided pair),
-        // then a root probe of the shared transposition table under the
-        // canonical fingerprint — a hit solves the pair without a game.
-        let canon_key = self.canon_key_of(key.0, key.1, k);
-        if let Some(ck) = &canon_key {
-            if let Some(&v) = self.canon_verdicts.get(ck) {
-                self.stats.canon_hits += 1;
-                self.verdicts.insert(key, v);
-                return v;
+        // The canonical layers: first the exact canonical memo (letter-
+        // renamed / swapped images of an already-decided pair), then a
+        // root probe of the transposition table under the canonical
+        // fingerprint — a hit solves the pair without a game.
+        if let Some(ck) = self.canon_key_of(lo, hi, k) {
+            if let Some(&v) = self.canon_verdicts.get(&ck) {
+                return Some((v, Tier::CanonMemo));
             }
         }
-        let root_fp = self.root_fp_of(key.0, key.1, k);
-        if let Some(fp) = root_fp {
-            if let Some(v) = self.table.probe_root(fp, k) {
-                self.stats.solver.table_hits += 1;
-                // Differential path (the arith-tier discipline): the root
-                // entry identifies the canonical pair by a hash tag, so on
-                // small instances replay the game and pin any collision.
-                #[cfg(debug_assertions)]
-                if k <= 2
-                    && self.arena.word(key.0).len() <= 48
-                    && self.arena.word(key.1).len() <= 48
-                {
-                    let direct = EfSolver::new(self.arena.game(key.0, key.1)).equivalent(k);
-                    assert_eq!(
-                        direct,
-                        v,
-                        "table root verdict diverged: {} vs {} at k={k}",
-                        self.arena.word(key.0),
-                        self.arena.word(key.1),
-                    );
-                }
-                if let Some(ck) = canon_key {
-                    self.canon_verdicts.insert(ck, v);
-                }
-                self.verdicts.insert(key, v);
-                return v;
-            }
-            self.stats.solver.table_misses += 1;
-        }
+        let fp = self.root_fp_of(lo, hi, k)?;
+        let v = self.table().probe_root(fp, k)?;
+        Some((v, Tier::TableRoot))
+    }
+
+    /// Runs the exact solver on `lo` vs `hi`, feeding the transposition
+    /// table and folding its counters into the batch's.
+    fn solve(&mut self, lo: WordId, hi: WordId, k: u32) -> bool {
         let mut solver =
-            EfSolver::new(self.arena.game(key.0, key.1)).with_table(Arc::clone(&self.table));
+            EfSolver::new(self.arena.game(lo, hi)).with_table(Arc::clone(self.table()));
         let verdict = match self.config.solver_threads {
             0 => solver.equivalent_auto(k),
             1 => solver.equivalent(k),
             t => solver.equivalent_par(k, t),
         };
-        self.stats.pairs_solved += 1;
-        self.stats.solver.absorb(&solver.stats());
-        self.stats.solver.wall += solver.stats().wall;
-        if let Some(fp) = root_fp {
-            self.table.insert_root(fp, k, verdict);
+        let stats = solver.stats();
+        self.stats.solver.absorb(&stats);
+        self.stats.solver.wall += stats.wall;
+        verdict
+    }
+
+    /// Books the answer `tier` gave for `lo` vs `hi`: its counter, plus the
+    /// memo entries that let later queries stop earlier in the cascade.
+    fn record(&mut self, lo: WordId, hi: WordId, k: u32, verdict: bool, tier: Tier) {
+        #[cfg(debug_assertions)]
+        self.replay(lo, hi, k, verdict, tier);
+        match tier {
+            Tier::Memo => {
+                self.stats.memo_hits += 1;
+                return;
+            }
+            Tier::Arith if verdict => self.stats.arith_confirmations += 1,
+            Tier::Arith => self.stats.arith_refutations += 1,
+            Tier::Fingerprint => self.stats.fingerprint_refutations += 1,
+            Tier::Rank2 => self.stats.rank2_refutations += 1,
+            Tier::CanonMemo => self.stats.canon_hits += 1,
+            Tier::TableRoot => {
+                self.stats.table_root_hits += 1;
+                self.record_canonical(lo, hi, k, verdict);
+            }
+            Tier::Solver => {
+                self.stats.pairs_solved += 1;
+                self.record_canonical(lo, hi, k, verdict);
+                if let Some(fp) = self.root_fp_of(lo, hi, k) {
+                    self.table().insert_root(fp, k, verdict);
+                }
+            }
         }
-        if let Some(ck) = canon_key {
+        self.verdicts.insert((lo, hi, k), verdict);
+    }
+
+    fn record_canonical(&mut self, lo: WordId, hi: WordId, k: u32, verdict: bool) {
+        if let Some(ck) = self.canon_key_of(lo, hi, k) {
             self.canon_verdicts.insert(ck, verdict);
         }
-        self.verdicts.insert(key, verdict);
-        verdict
+    }
+
+    /// Differential path: a shortcut tier's verdict must agree with the
+    /// exact solver — an unsound tier is a correctness bug, not a missed
+    /// optimisation. Refutations by invariant are always replayed; the
+    /// arithmetic and table-root answers (which identify pairs by class
+    /// table or hash tag) on instances small enough for the solver. The
+    /// game is built directly, not through the arena, so debug builds keep
+    /// the arena's laziness observable.
+    #[cfg(debug_assertions)]
+    fn replay(&self, lo: WordId, hi: WordId, k: u32, verdict: bool, tier: Tier) {
+        let (w, v) = (self.arena.word(lo), self.arena.word(hi));
+        let replay = match tier {
+            Tier::Fingerprint | Tier::Rank2 => true,
+            Tier::Arith | Tier::TableRoot => k <= 2 && w.len() <= 48 && v.len() <= 48,
+            Tier::Memo | Tier::CanonMemo | Tier::Solver => false,
+        };
+        if replay {
+            let game = GamePair::new(w.clone(), v.clone(), self.arena.alphabet());
+            assert_eq!(
+                EfSolver::new(game).equivalent(k),
+                verdict,
+                "{tier:?} tier unsoundness: {w} vs {v} at k={k}"
+            );
+        }
     }
 
     /// The canonical memo key of a pair at rank `k` (`None` above the
@@ -804,64 +769,12 @@ impl BatchSolver {
                 let window = (max_len / root.bytes().len()) as u64 + 8;
                 periodic_table_builder(k, root, window.max(16))
             })?;
-        let eq = verdict.equivalent;
-        // Differential path: on instances small enough for the exact
-        // solver, an arithmetic verdict must agree with it — disagreement
-        // is a correctness bug, not a missed optimisation. (Direct
-        // GamePair construction, not `arena.game`, so debug builds keep
-        // the arena's laziness observable.)
-        #[cfg(debug_assertions)]
-        if k <= 2 && wi.bytes().len() <= 48 && wj.bytes().len() <= 48 {
-            let direct =
-                EfSolver::new(GamePair::new(wi.clone(), wj.clone(), self.arena.alphabet()))
-                    .equivalent(k);
-            assert_eq!(
-                direct, eq,
-                "arith tier unsoundness: {wi} vs {wj} at k={k} (route {:?})",
-                verdict.route
-            );
-        }
-        Some(eq)
+        Some(verdict.equivalent)
     }
 
-    /// `true` iff the verdict for (a, b) at rank k is not already decided
-    /// by identity, memo, the arithmetic tier, or fingerprint.
+    /// `true` iff only the exact solver can decide (a, b) at rank k.
     fn needs_solver(&self, a: WordId, b: WordId, k: u32) -> bool {
-        if a == b {
-            return false;
-        }
-        let key = (a.min(b), a.max(b), k);
-        if self.verdicts.contains_key(&key) {
-            return false;
-        }
-        if let Some(ck) = self.canon_key_of(key.0, key.1, k) {
-            if self.canon_verdicts.contains_key(&ck) {
-                return false;
-            }
-        }
-        if self.arith_verdict(a, b, k).is_some() {
-            return false;
-        }
-        if !self.config.use_fingerprints {
-            return true;
-        }
-        if self
-            .arena
-            .fingerprint(a)
-            .refutes(self.arena.fingerprint(b), k)
-        {
-            return false;
-        }
-        if self.config.use_rank2_profiles && k >= 2 {
-            let cap = self.config.rank2_universe_cap;
-            if let (Some(pa), Some(pb)) = (
-                self.arena.rank2_profile(a, cap),
-                self.arena.rank2_profile(b, cap),
-            ) {
-                return pa == pb;
-            }
-        }
-        true
+        a != b && self.cheap_verdict(a, b, k).is_none()
     }
 
     /// Solves the given canonical, deduplicated jobs on a work-stealing
@@ -883,7 +796,7 @@ impl BatchSolver {
         const CHUNK: usize = 4;
         let arena = &self.arena;
         let solver_threads = self.config.solver_threads;
-        let table = &self.table;
+        let table = self.table();
         let cursor = AtomicUsize::new(0);
         let mut merged: Vec<(usize, bool)> = Vec::with_capacity(jobs.len());
         let mut solver_stats = SolverStats::default();
@@ -930,15 +843,7 @@ impl BatchSolver {
         });
         for (idx, verdict) in merged {
             let (a, b) = jobs[idx];
-            let (lo, hi) = (a.min(b), a.max(b));
-            self.verdicts.insert((lo, hi, k), verdict);
-            if let Some(ck) = self.canon_key_of(lo, hi, k) {
-                self.canon_verdicts.insert(ck, verdict);
-            }
-            if let Some(fp) = self.root_fp_of(lo, hi, k) {
-                self.table.insert_root(fp, k, verdict);
-            }
-            self.stats.pairs_solved += 1;
+            self.record(a.min(b), a.max(b), k, verdict, Tier::Solver);
         }
         self.stats.solver.absorb(&solver_stats);
         self.stats.solver.wall += solver_stats.wall;
@@ -1328,14 +1233,14 @@ mod tests {
         // Fingerprints off so the (inequivalent) pairs actually reach the
         // canonical tier instead of being refuted upstream — the tier must
         // collapse refutations just as well as confirmations.
-        let mut batch = BatchSolver::with_config(
-            arena,
-            BatchConfig {
-                use_fingerprints: false,
-                use_arith: false,
-                ..BatchConfig::default()
-            },
-        );
+        let config = BatchConfig {
+            use_fingerprints: false,
+            use_arith: false,
+            ..BatchConfig::default()
+        };
+        let table = Arc::new(TransTable::new(1 << 12));
+        let mut batch = BatchSolver::with_config(arena, config);
+        batch.share_table(Arc::clone(&table));
         let first = batch.equivalent(ids[0], ids[1], 2);
         let solved_after_first = batch.stats().pairs_solved;
         let renamed = batch.equivalent(ids[2], ids[3], 2);
@@ -1348,10 +1253,27 @@ mod tests {
             "renamed/swapped pairs must not reach the solver"
         );
         assert!(stats.canon_hits >= 1, "canonical memo should fire");
+        assert_eq!(
+            stats.table_root_hits, 0,
+            "the exact canonical memo answers before the table root"
+        );
         // And the collapsed verdicts are the true ones.
         let direct =
             EfSolver::new(GamePair::new(words[2].clone(), words[3].clone(), &sigma)).equivalent(2);
         assert_eq!(renamed, direct);
+        // A fresh batch on the same table has an empty canonical memo: the
+        // renamed pair is answered by the table's canonical root entry.
+        let (arena2, ids2) = StructureArena::for_words(&words);
+        let mut second = BatchSolver::with_config(arena2, config);
+        second.share_table(table);
+        assert_eq!(second.equivalent(ids2[2], ids2[3], 2), first);
+        let stats = second.stats();
+        assert_eq!((stats.table_root_hits, stats.pairs_solved), (1, 0));
+        assert_eq!(
+            stats.solver.table_hits + stats.solver.table_misses,
+            0,
+            "a table-root answer runs no solver"
+        );
     }
 
     #[test]
@@ -1380,7 +1302,32 @@ mod tests {
             0,
             "the shared table's root entry must decide the repeat pair"
         );
-        assert!(second.stats().solver.table_hits >= 1);
+        assert_eq!(second.stats().table_root_hits, 1);
+    }
+
+    #[test]
+    fn private_table_is_created_only_when_a_pair_reaches_it() {
+        // Pairs decided by identity, memo or arith never need the
+        // transposition table, so the batch never allocates one.
+        let mut arena = StructureArena::new(Alphabet::ab());
+        let ids: Vec<WordId> = (0..6)
+            .map(|n| arena.intern(&Word::from("a").pow(n)))
+            .collect();
+        let mut batch = BatchSolver::with_config(
+            arena,
+            BatchConfig {
+                use_fingerprints: false,
+                ..BatchConfig::default()
+            },
+        );
+        batch.classify(&ids, 1);
+        assert!(batch.table.get().is_none());
+        assert_eq!(batch.table_stats(), TransTableStats::default());
+        // An aperiodic pair reaches the table tier.
+        let aabb = batch.intern(&Word::from("aabb"));
+        let abab = batch.intern(&Word::from("abab"));
+        batch.equivalent(aabb, abab, 1);
+        assert!(batch.table_stats().capacity > 0);
     }
 
     #[test]

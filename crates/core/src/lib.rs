@@ -73,9 +73,9 @@ pub mod ttable;
 
 pub use arena::{GamePair, Side};
 pub use arith::{ArithOracle, ArithRoute, ArithVerdict, ARITH_MAX_RANK};
-pub use batch::{BatchConfig, BatchSolver, BatchStats, SharedBatchStats, StructureArena, WordId};
+pub use batch::{BatchConfig, BatchSolver, BatchStats, StructureArena, WordId};
 pub use fingerprint::Fingerprint;
 pub use shards::{ShardRef, ShardedArena};
-pub use solver::{EfSolver, SharedSolverStats, SolverStats};
+pub use solver::{EfSolver, SolverStats};
 pub use strategy::{validate_strategy, DuplicatorStrategy};
 pub use ttable::{TransTable, TransTableStats, DEFAULT_TABLE_CAPACITY};

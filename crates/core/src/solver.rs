@@ -92,80 +92,6 @@ impl SolverStats {
     }
 }
 
-/// A `Send + Sync` accumulator of [`SolverStats`], for engines whose one
-/// shared handle serves concurrent game requests (`fc serve`). Workers
-/// keep solving with private solvers (the existing single-threaded paths,
-/// byte-identical displays) and [`SharedSolverStats::record`] whole-game
-/// deltas, so concurrent requests never lose counter updates.
-#[derive(Debug, Default)]
-pub struct SharedSolverStats {
-    games: std::sync::atomic::AtomicU64,
-    states_explored: std::sync::atomic::AtomicU64,
-    memo_hits: std::sync::atomic::AtomicU64,
-    pruned_moves: std::sync::atomic::AtomicU64,
-    table_hits: std::sync::atomic::AtomicU64,
-    table_misses: std::sync::atomic::AtomicU64,
-    wall_nanos: std::sync::atomic::AtomicU64,
-}
-
-impl SharedSolverStats {
-    /// An all-zero accumulator.
-    pub fn new() -> SharedSolverStats {
-        SharedSolverStats::default()
-    }
-
-    /// Merges one finished game's counters. Unlike [`SolverStats::absorb`]
-    /// this *does* add wall time: requests run concurrently but each delta
-    /// is one request's own serial cost, which is what a per-endpoint
-    /// latency total wants.
-    pub fn record(&self, delta: &SolverStats) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.games.fetch_add(1, Relaxed);
-        self.states_explored
-            .fetch_add(delta.states_explored, Relaxed);
-        self.memo_hits.fetch_add(delta.memo_hits, Relaxed);
-        self.pruned_moves.fetch_add(delta.pruned_moves, Relaxed);
-        self.table_hits.fetch_add(delta.table_hits, Relaxed);
-        self.table_misses.fetch_add(delta.table_misses, Relaxed);
-        self.wall_nanos
-            .fetch_add(delta.wall.as_nanos() as u64, Relaxed);
-    }
-
-    /// Number of games recorded.
-    pub fn games(&self) -> u64 {
-        self.games.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The accumulated counters as a plain [`SolverStats`].
-    pub fn snapshot(&self) -> SolverStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        SolverStats {
-            states_explored: self.states_explored.load(Relaxed),
-            memo_hits: self.memo_hits.load(Relaxed),
-            pruned_moves: self.pruned_moves.load(Relaxed),
-            table_hits: self.table_hits.load(Relaxed),
-            table_misses: self.table_misses.load(Relaxed),
-            wall: Duration::from_nanos(self.wall_nanos.load(Relaxed)),
-        }
-    }
-}
-
-impl SolverStats {
-    /// The counter-wise difference `self − earlier` (wall included):
-    /// turns two snapshots of an accumulating solver into the cost of the
-    /// work done between them, e.g. one `rebind`-reused request.
-    pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            states_explored: self.states_explored - earlier.states_explored,
-            memo_hits: self.memo_hits - earlier.memo_hits,
-            pruned_moves: self.pruned_moves - earlier.pruned_moves,
-            table_hits: self.table_hits - earlier.table_hits,
-            table_misses: self.table_misses - earlier.table_misses,
-            wall: self.wall.saturating_sub(earlier.wall),
-        }
-    }
-}
-
 /// Guided-search tables, built once per game on first use (docs/SOLVER.md
 /// §9). `compat_*[e]` is the *seed-compatible response list* of element
 /// `e`: every opposite-side element `r` such that the single pair for
@@ -1156,22 +1082,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_absorb_and_delta_cover_table_counters() {
+    fn stats_absorb_covers_table_counters() {
         let table = Arc::new(TransTable::new(1 << 10));
-        let mut s = EfSolver::of("aabb", "abab").with_table(table);
-        let _ = s.equivalent(2);
-        let before = s.stats();
-        s.rebind(GamePair::of("aabb", "abab"));
-        let _ = s.equivalent(2);
-        let delta = s.stats().delta_since(&before);
-        assert!(delta.table_hits >= 1);
+        let mut first = EfSolver::of("aabb", "abab").with_table(Arc::clone(&table));
+        let _ = first.equivalent(2);
+        let mut second = EfSolver::of("aabb", "abab").with_table(table);
+        let _ = second.equivalent(2);
+        let (a, b) = (first.stats(), second.stats());
+        assert!(
+            b.table_hits >= 1,
+            "the second solver reads the first's entries"
+        );
         let mut sum = SolverStats::default();
-        sum.absorb(&before);
-        sum.absorb(&delta);
-        assert_eq!(sum.table_hits, s.stats().table_hits);
-        assert_eq!(sum.table_misses, s.stats().table_misses);
-        let shared = SharedSolverStats::new();
-        shared.record(&delta);
-        assert_eq!(shared.snapshot().table_hits, delta.table_hits);
+        sum.absorb(&a);
+        sum.absorb(&b);
+        assert_eq!(sum.table_hits, a.table_hits + b.table_hits);
+        assert_eq!(sum.table_misses, a.table_misses + b.table_misses);
     }
 }

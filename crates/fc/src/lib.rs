@@ -40,7 +40,7 @@ pub mod structure;
 
 pub use eval::{holds, satisfying_assignments, Assignment};
 pub use formula::{Formula, Term, VarName};
-pub use plan::{EvalStats, Plan, PlanCache, PlanCacheStats, SharedEvalStats};
+pub use plan::{EvalStats, Plan, PlanCache, PlanCacheStats};
 pub use structure::{
     BackendKind, ConcatOracle, ConcatView, FactorBackend, FactorId, FactorStructure,
     DENSE_MAX_WORD_LEN,

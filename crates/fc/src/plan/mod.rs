@@ -40,7 +40,7 @@ mod lower;
 mod stats;
 
 pub use cache::{structural_key, PlanCache, PlanCacheStats};
-pub use stats::{EvalStats, SharedEvalStats};
+pub use stats::EvalStats;
 
 use crate::eval::Assignment;
 use crate::formula::Formula;

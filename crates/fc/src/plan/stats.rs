@@ -1,6 +1,5 @@
 //! Execution counters for the compiled evaluator.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Counters exposed by [`super::Plan::eval_with_stats`] for benchmarks,
@@ -61,65 +60,5 @@ impl EvalStats {
             self.dfa_checks,
             self.wall
         )
-    }
-}
-
-/// A `Send + Sync` accumulator of [`EvalStats`] run counters, for engines
-/// whose one shared handle serves concurrent requests (`fc serve`).
-///
-/// Workers evaluate with a private, stack-local `EvalStats` (the existing
-/// single-threaded path, byte-identical displays) and [`record`] the
-/// result; the shared counters only ever see whole-eval deltas, so no
-/// update is lost and no hot-path probe touches an atomic.
-///
-/// Plan-shape fields are per-plan facts and are deliberately *not*
-/// aggregated — a service evaluates many plans; [`snapshot`] reports run
-/// counters plus the number of evals recorded.
-///
-/// [`record`]: SharedEvalStats::record
-/// [`snapshot`]: SharedEvalStats::snapshot
-#[derive(Debug, Default)]
-pub struct SharedEvalStats {
-    evals: AtomicU64,
-    frames_explored: AtomicU64,
-    guard_hits: AtomicU64,
-    dfa_checks: AtomicU64,
-    wall_nanos: AtomicU64,
-}
-
-impl SharedEvalStats {
-    /// An all-zero accumulator.
-    pub fn new() -> SharedEvalStats {
-        SharedEvalStats::default()
-    }
-
-    /// Merges one finished eval's counters.
-    pub fn record(&self, stats: &EvalStats) {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        self.frames_explored
-            .fetch_add(stats.frames_explored, Ordering::Relaxed);
-        self.guard_hits
-            .fetch_add(stats.guard_hits, Ordering::Relaxed);
-        self.dfa_checks
-            .fetch_add(stats.dfa_checks, Ordering::Relaxed);
-        self.wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Number of evals recorded.
-    pub fn evals(&self) -> u64 {
-        self.evals.load(Ordering::Relaxed)
-    }
-
-    /// The accumulated run counters as a plain [`EvalStats`] (plan-shape
-    /// fields zero).
-    pub fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            frames_explored: self.frames_explored.load(Ordering::Relaxed),
-            guard_hits: self.guard_hits.load(Ordering::Relaxed),
-            dfa_checks: self.dfa_checks.load(Ordering::Relaxed),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-            ..EvalStats::default()
-        }
     }
 }

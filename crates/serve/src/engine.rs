@@ -12,10 +12,10 @@
 //!   once (content-deduplicated, dense or succinct backend chosen by
 //!   length) and every later `check`/`solve`/`extract` on it reuses the
 //!   built structure;
-//! - thread-safe metric accumulators: per-endpoint request/error/wall
-//!   counters plus the engine-wide [`SharedEvalStats`],
-//!   [`SharedSolverStats`] and [`SharedBatchStats`], all surfaced by the
-//!   `stats` endpoint.
+//! - metric accumulators: per-endpoint request/error/wall counters, plus
+//!   engine-wide totals of the plain [`EvalStats`], [`SolverStats`] and
+//!   [`BatchStats`] every request produces, folded in once per request
+//!   under one mutex; all surfaced by the `stats` endpoint.
 //!
 //! Requests and responses are single-line JSON objects. Responses are
 //! *deterministic functions of the request and the document store*: no
@@ -23,22 +23,21 @@
 //! `stats` endpoint. The concurrency differential suite relies on this.
 
 use crate::json::{self, Value};
-use fc_games::batch::periodic_table_builder;
 use fc_games::{
-    canon, ArithOracle, BatchSolver, EfSolver, GamePair, ShardRef, ShardedArena, SharedBatchStats,
-    SharedSolverStats, StructureArena, TransTable, DEFAULT_TABLE_CAPACITY,
+    ArithOracle, BatchConfig, BatchSolver, BatchStats, ShardRef, ShardedArena, SolverStats,
+    StructureArena, TransTable, DEFAULT_TABLE_CAPACITY,
 };
 use fc_logic::analysis::{self, AnalysisConfig, Analyzer};
 use fc_logic::eval::Assignment;
 use fc_logic::language;
 use fc_logic::parser::parse_formula;
-use fc_logic::{EvalStats, FactorStructure, Formula, PlanCache, SharedEvalStats};
+use fc_logic::{EvalStats, FactorStructure, Formula, PlanCache};
 use fc_reglang::definable::{fc_definable_regex, DefinabilityBudget, FcDefinability, Inconclusive};
 use fc_reglang::Regex;
 use fc_words::{Alphabet, Word};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Every operation the line protocol knows, in the order the `stats`
@@ -99,14 +98,12 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-worker scratch state, reused across the requests a worker serves.
-/// Currently holds the worker's [`EfSolver`]: `rebind` keeps the memo
-/// `HashMap` allocations (the solver's dominant allocation) alive from one
-/// `game` request to the next.
+/// Per-worker scratch state, handed to every request a worker serves. It
+/// carries nothing today: each `game` request runs a private two-word
+/// [`BatchSolver`] whose state worth keeping lives in the engine's shared
+/// transposition table.
 #[derive(Default)]
-pub struct WorkerScratch {
-    solver: Option<EfSolver>,
-}
+pub struct WorkerScratch {}
 
 /// One handled request: the serialized response line (no trailing
 /// newline) and whether it asked the server to shut down.
@@ -175,6 +172,27 @@ impl EndpointMetrics {
     }
 }
 
+/// Engine-wide counter totals. Requests count into private plain structs
+/// and fold them in here once, when they finish.
+#[derive(Clone, Copy, Default)]
+struct Totals {
+    /// Plan evaluations recorded (`check`, `solve`, `window`, `extract`).
+    evals: u64,
+    eval: EvalStats,
+    /// `game` requests that ran the exact solver.
+    games: u64,
+    solver: SolverStats,
+    /// `game` requests answered by the arithmetic tier (identical words
+    /// included), with no structure and no game.
+    arith_game_hits: u64,
+    /// `game` requests answered by the table's canonical root entry (a
+    /// repeat, renamed, or swapped pair), with no game.
+    canon_game_hits: u64,
+    /// `classify` requests recorded.
+    batches: u64,
+    batch: BatchStats,
+}
+
 /// The shared engine. One instance serves every connection and worker;
 /// all methods take `&self`.
 pub struct ServiceEngine {
@@ -182,18 +200,10 @@ pub struct ServiceEngine {
     plans: PlanCache,
     docs: ShardedArena,
     names: RwLock<HashMap<String, ShardRef>>,
-    eval_stats: SharedEvalStats,
-    solver_stats: SharedSolverStats,
-    batch_stats: SharedBatchStats,
+    totals: Mutex<Totals>,
     endpoints: Vec<EndpointMetrics>,
-    /// `game` requests answered by the arithmetic fast path (no game).
-    arith_game_hits: AtomicU64,
-    /// `game` requests answered by the shared table's canonical root entry
-    /// (a repeat, renamed, or swapped pair — no game).
-    canon_game_hits: AtomicU64,
-    /// The engine-held transposition table: shared by every worker's
-    /// scratch solver, every `classify` batch, and the canonical-root
-    /// `game` fast path. Bounded (see
+    /// The engine-held transposition table, shared by the batch of every
+    /// `game` and `classify` request. Bounded (see
     /// [`EngineConfig::game_table_capacity`]).
     game_table: Arc<TransTable>,
     requests: AtomicU64,
@@ -253,12 +263,8 @@ impl ServiceEngine {
             config,
             docs: ShardedArena::new(),
             names: RwLock::new(HashMap::new()),
-            eval_stats: SharedEvalStats::new(),
-            solver_stats: SharedSolverStats::new(),
-            batch_stats: SharedBatchStats::new(),
+            totals: Mutex::new(Totals::default()),
             endpoints: (0..OPS.len()).map(|_| EndpointMetrics::default()).collect(),
-            arith_game_hits: AtomicU64::new(0),
-            canon_game_hits: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             started: Instant::now(),
@@ -271,7 +277,7 @@ impl ServiceEngine {
     }
 
     /// Handles one request line with a caller-provided worker scratch.
-    pub fn handle_request(&self, line: &str, scratch: &mut WorkerScratch) -> Response {
+    pub fn handle_request(&self, line: &str, _scratch: &mut WorkerScratch) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let request = match json::parse(line) {
             Ok(v @ Value::Object(_)) => v,
@@ -294,7 +300,7 @@ impl ServiceEngine {
             "solve" => self.op_solve(&request),
             "window" => self.op_window(&request),
             "extract" => self.op_extract(&request),
-            "game" => self.op_game(&request, scratch),
+            "game" => self.op_game(&request),
             "classify" => self.op_classify(&request),
             "definable" => self.op_definable(&request),
             "put" => self.op_put(&request),
@@ -383,6 +389,16 @@ impl ServiceEngine {
         }
     }
 
+    fn totals(&self) -> std::sync::MutexGuard<'_, Totals> {
+        self.totals.lock().expect("totals lock")
+    }
+
+    fn record_eval(&self, stats: &EvalStats) {
+        let mut t = self.totals();
+        t.evals += 1;
+        t.eval.absorb(stats);
+    }
+
     fn op_lint(&self, req: &Value) -> Result<Payload, String> {
         let src = req_str(req, "formula")?;
         let diags = Analyzer::new(AnalysisConfig::default()).analyze_source(src);
@@ -417,7 +433,7 @@ impl ServiceEngine {
         let plan = self.plans.get_or_compile(&phi);
         let mut stats = EvalStats::default();
         let verdict = plan.eval_with_stats(&structure, &Assignment::new(), &mut stats);
-        self.eval_stats.record(&stats);
+        self.record_eval(&stats);
         let mut payload = Payload::new();
         payload.insert("verdict".to_string(), Value::Bool(verdict));
         Ok(payload)
@@ -432,7 +448,7 @@ impl ServiceEngine {
         let plan = self.plans.get_or_compile(&phi);
         let mut stats = EvalStats::default();
         let sols = plan.satisfying_assignments_with_stats(&structure, &mut stats);
-        self.eval_stats.record(&stats);
+        self.record_eval(&stats);
         let shown: Vec<Value> = sols
             .iter()
             .take(limit)
@@ -476,7 +492,7 @@ impl ServiceEngine {
         let sigma = Alphabet::from_symbols(letters.as_bytes());
         let plan = self.plans.get_or_compile(&phi);
         let (words, stats) = language::language_window_stats_plan(&plan, &sigma, max_len);
-        self.eval_stats.record(&stats);
+        self.record_eval(&stats);
         let mut payload = Payload::new();
         payload.insert("count".to_string(), num(words.len() as u64));
         payload.insert(
@@ -518,7 +534,7 @@ impl ServiceEngine {
         }
         let mut stats = EvalStats::default();
         let tuples = language::relation_on_plan_stats(&plan, &vars, &structure, &mut stats);
-        self.eval_stats.record(&stats);
+        self.record_eval(&stats);
         let mut payload = Payload::new();
         payload.insert("count".to_string(), num(tuples.len() as u64));
         payload.insert(
@@ -544,7 +560,7 @@ impl ServiceEngine {
         Ok(k)
     }
 
-    fn op_game(&self, req: &Value, scratch: &mut WorkerScratch) -> Result<Payload, String> {
+    fn op_game(&self, req: &Value) -> Result<Payload, String> {
         let w = req_str(req, "w")?;
         let v = req_str(req, "v")?;
         for word in [w, v] {
@@ -557,69 +573,35 @@ impl ServiceEngine {
             }
         }
         let k = self.game_rounds(req)?;
-        // Arithmetic fast path: unary and same-primitive-root pairs are
-        // answered from the oracle's semilinear class tables — no
-        // structure, no game. The response is byte-identical to the
-        // solver's (the tables are solver/brute-audited), so which route
-        // ran is visible only in `stats`. Rank-3 unary answers come only
-        // from an already-warm table (see [`ServiceEngine::new`]); the
-        // periodic route classifies `u^0..u^window` once per (k, root)
-        // and is O(1) afterwards.
-        if let Some(verdict) =
-            ArithOracle::global().verdict_words(w.as_bytes(), v.as_bytes(), k, false, |root| {
-                let max_exp = (w.len().max(v.len()) / root.bytes().len()) as u64;
-                periodic_table_builder(k, root, (max_exp + 8).max(16))
-            })
-        {
-            self.arith_game_hits.fetch_add(1, Ordering::Relaxed);
-            let mut payload = Payload::new();
-            payload.insert("equivalent".to_string(), Value::Bool(verdict.equivalent));
-            payload.insert("k".to_string(), num(u64::from(k)));
-            return Ok(payload);
-        }
-        // Canonical-root fast path: the engine table's root entries are
-        // keyed by the *canonical* pair fingerprint, so a repeat request —
-        // including letter-renamed and argument-swapped variants — is
-        // answered without building a structure or playing a game. The
-        // response is byte-identical to the solver's; the route is visible
+        // A two-word batch walks the whole ≡_k cascade against the engine
+        // table: arithmetic (unary and same-root pairs; rank 3 only from an
+        // already-warm table, see [`ServiceEngine::new`]; the periodic
+        // route classifies `u^0..u^window` once per (k, root)), fingerprint,
+        // the canonical root entry a repeat, renamed or swapped pair left
+        // behind, and only then the solver. Which tier answered is visible
         // only in `stats`.
-        let root_fp = canon::root_fingerprint(w.as_bytes(), v.as_bytes(), k);
-        if let Some(fp) = root_fp {
-            if let Some(verdict) = self.game_table.probe_root(fp, k) {
-                // Root entries identify pairs by hash tag; replay small
-                // instances in debug builds (the arith-tier discipline).
-                #[cfg(debug_assertions)]
-                if k <= 2 && w.len() <= 48 && v.len() <= 48 {
-                    assert_eq!(
-                        EfSolver::of(w, v).equivalent(k),
-                        verdict,
-                        "table root verdict diverged: {w} vs {v} at k={k}"
-                    );
-                }
-                self.canon_game_hits.fetch_add(1, Ordering::Relaxed);
-                let mut payload = Payload::new();
-                payload.insert("equivalent".to_string(), Value::Bool(verdict));
-                payload.insert("k".to_string(), num(u64::from(k)));
-                return Ok(payload);
-            }
+        let (arena, ids) = StructureArena::for_words(&[Word::from(w), Word::from(v)]);
+        let mut batch = BatchSolver::with_config(
+            arena,
+            BatchConfig {
+                arith_periodic: true,
+                ..BatchConfig::default()
+            },
+        );
+        batch.share_table(Arc::clone(&self.game_table));
+        let equivalent = batch.equivalent(ids[0], ids[1], k);
+        let s = batch.stats();
+        {
+            let mut t = self.totals();
+            t.games += s.pairs_solved;
+            t.solver.absorb(&s.solver);
+            t.solver.wall += s.solver.wall;
+            // Identical words are answered by reflexivity before any tier;
+            // they count as arithmetic hits, the oracle's equal-words route.
+            let arith = ids[0] == ids[1] || s.arith_confirmations + s.arith_refutations > 0;
+            t.arith_game_hits += u64::from(arith);
+            t.canon_game_hits += s.table_root_hits;
         }
-        let game = GamePair::of(w, v);
-        let solver = match scratch.solver.as_mut() {
-            Some(s) => {
-                s.rebind(game);
-                s
-            }
-            None => scratch
-                .solver
-                .insert(EfSolver::new(game).with_table(Arc::clone(&self.game_table))),
-        };
-        let before = solver.stats();
-        let equivalent = solver.equivalent(k);
-        if let Some(fp) = root_fp {
-            self.game_table.insert_root(fp, k, equivalent);
-        }
-        self.solver_stats
-            .record(&solver.stats().delta_since(&before));
         let mut payload = Payload::new();
         payload.insert("equivalent".to_string(), Value::Bool(equivalent));
         payload.insert("k".to_string(), num(u64::from(k)));
@@ -656,7 +638,11 @@ impl ServiceEngine {
         let mut batch = BatchSolver::new(arena);
         batch.share_table(Arc::clone(&self.game_table));
         let classes = batch.classify(&ids, k);
-        self.batch_stats.record(&batch.stats());
+        {
+            let mut t = self.totals();
+            t.batches += 1;
+            t.batch.absorb(&batch.stats());
+        }
         let mut payload = Payload::new();
         payload.insert(
             "classes".to_string(),
@@ -765,9 +751,8 @@ impl ServiceEngine {
             );
         }
         let pc = self.plans.stats();
-        let eval = self.eval_stats.snapshot();
-        let solver = self.solver_stats.snapshot();
-        let batch = self.batch_stats.snapshot();
+        let t = *self.totals();
+        let (eval, solver, batch) = (t.eval, t.solver, t.batch);
         let mut payload = Payload::new();
         payload.insert(
             "uptime_ms".to_string(),
@@ -809,7 +794,7 @@ impl ServiceEngine {
         payload.insert(
             "eval".to_string(),
             Value::object([
-                ("evals", num(self.eval_stats.evals())),
+                ("evals", num(t.evals)),
                 ("frames_explored", num(eval.frames_explored)),
                 ("guard_hits", num(eval.guard_hits)),
                 ("dfa_checks", num(eval.dfa_checks)),
@@ -819,7 +804,7 @@ impl ServiceEngine {
         payload.insert(
             "solver".to_string(),
             Value::object([
-                ("games", num(self.solver_stats.games())),
+                ("games", num(t.games)),
                 ("states_explored", num(solver.states_explored)),
                 ("memo_hits", num(solver.memo_hits)),
                 ("pruned_moves", num(solver.pruned_moves)),
@@ -834,7 +819,7 @@ impl ServiceEngine {
         payload.insert(
             "batch".to_string(),
             Value::object([
-                ("batches", num(self.batch_stats.batches())),
+                ("batches", num(t.batches)),
                 ("structures_built", num(batch.structures_built)),
                 ("arith_confirmations", num(batch.arith_confirmations)),
                 ("arith_refutations", num(batch.arith_refutations)),
@@ -846,16 +831,14 @@ impl ServiceEngine {
                 ("pairs_solved", num(batch.pairs_solved)),
                 ("memo_hits", num(batch.memo_hits)),
                 ("canon_hits", num(batch.canon_hits)),
+                ("table_root_hits", num(batch.table_root_hits)),
                 ("solver_states", num(batch.solver.states_explored)),
                 ("wall_ms", Value::Number(batch.wall.as_nanos() as f64 / 1e6)),
             ]),
         );
         payload.insert(
             "arith".to_string(),
-            Value::object([(
-                "game_hits",
-                num(self.arith_game_hits.load(Ordering::Relaxed)),
-            )]),
+            Value::object([("game_hits", num(t.arith_game_hits))]),
         );
         let tt = self.game_table.stats();
         payload.insert(
@@ -867,10 +850,7 @@ impl ServiceEngine {
                 ("evictions", num(tt.evictions)),
                 ("capacity", num(tt.capacity)),
                 ("bytes", num(self.game_table.bytes() as u64)),
-                (
-                    "canon_game_hits",
-                    num(self.canon_game_hits.load(Ordering::Relaxed)),
-                ),
+                ("canon_game_hits", num(t.canon_game_hits)),
             ]),
         );
         payload
@@ -880,6 +860,7 @@ impl ServiceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_games::{EfSolver, GamePair};
 
     fn engine() -> ServiceEngine {
         ServiceEngine::new(EngineConfig::default())
@@ -978,13 +959,14 @@ mod tests {
     #[test]
     fn game_canonical_root_path_answers_repeats_and_renamings() {
         let e = engine();
-        // Aperiodic pair: solver route, root verdict recorded.
-        let first = e.handle(r#"{"op":"game","w":"aabb","v":"abab","k":2}"#);
+        // Aperiodic pair with agreeing fingerprints: solver route, root
+        // verdict recorded.
+        let first = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":2}"#);
         // Repeat, argument-swapped, and letter-renamed variants are all
         // answered from the canonical root entry — byte-identical verdict.
-        let repeat = e.handle(r#"{"op":"game","w":"aabb","v":"abab","k":2}"#);
-        let swapped = e.handle(r#"{"op":"game","w":"abab","v":"aabb","k":2}"#);
-        let renamed = e.handle(r#"{"op":"game","w":"bbaa","v":"baba","k":2}"#);
+        let repeat = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":2}"#);
+        let swapped = e.handle(r#"{"op":"game","w":"abaab","v":"aabaa","k":2}"#);
+        let renamed = e.handle(r#"{"op":"game","w":"bbabb","v":"babba","k":2}"#);
         let verdict = |resp: &str| resp.contains(r#""equivalent":true"#);
         assert_eq!(verdict(&first), verdict(&repeat));
         assert_eq!(verdict(&first), verdict(&swapped));
@@ -998,8 +980,8 @@ mod tests {
         );
         assert!(table.get("inserts").unwrap().as_f64().unwrap() >= 1.0);
         // A different k is a different root entry — no false sharing.
-        let k1 = e.handle(r#"{"op":"game","w":"aabb","v":"abab","k":1}"#);
-        let direct = EfSolver::of("aabb", "abab").equivalent(1);
+        let k1 = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":1}"#);
+        let direct = EfSolver::of("aabaa", "abaab").equivalent(1);
         assert_eq!(verdict(&k1), direct);
     }
 

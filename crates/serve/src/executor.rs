@@ -1,12 +1,11 @@
 //! A work-stealing thread pool over *requests*.
 //!
 //! Connections submit one job per request line; each worker owns a deque
-//! and a long-lived [`WorkerScratch`] (solver memo allocations survive
-//! across the requests a worker serves, via `EfSolver::rebind` — the same
-//! per-worker reuse idiom as the batch engine's pair grid). Jobs land on
-//! the deques round-robin; an idle worker drains its own deque from the
-//! front and steals from the *back* of a victim's deque otherwise, so a
-//! chatty connection cannot monopolize one worker while others idle.
+//! and a long-lived [`WorkerScratch`] it hands to every request it serves.
+//! Jobs land on the deques round-robin; an idle worker drains its own
+//! deque from the front and steals from the *back* of a victim's deque
+//! otherwise, so a chatty connection cannot monopolize one worker while
+//! others idle.
 //!
 //! A shared `pending` count under one mutex/condvar is the only
 //! coordination: each submit increments it, each worker decrements it

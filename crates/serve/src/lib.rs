@@ -13,9 +13,8 @@
 //!   thread-safe per-endpoint metrics. Every endpoint (lint, check, solve,
 //!   window, extract, game, classify, definable) routes through this one
 //!   handle;
-//! - [`executor`]: a work-stealing thread pool over *requests*, with
-//!   per-worker scratch state (an [`fc_games::EfSolver`] reused across
-//!   games via `rebind`);
+//! - [`executor`]: a work-stealing thread pool over *requests*, handing
+//!   each worker's scratch state to the requests it runs;
 //! - [`server`]: a dependency-free `std::net` TCP server speaking a
 //!   newline-delimited JSON protocol (see `docs/SERVE.md`), exposed as
 //!   `fc serve`;

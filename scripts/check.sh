@@ -15,6 +15,10 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> verdict-cascade suites (fc-games lib + batch/table differentials, fc-serve engine + concurrency; release)"
+cargo test -q --offline --release -p fc-games --lib --test batch_diff --test table_diff
+cargo test -q --offline --release -p fc-serve
+
 echo "==> solver perf smokes (E08 confirmation + P9 batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires, release, generous budgets)"
 cargo test -q --offline --release -p fc-games --test perf_smoke -- --nocapture --skip pr10_
 
