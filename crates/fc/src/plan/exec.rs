@@ -14,6 +14,10 @@
 //! guard corresponds to a split of the guard's left-hand side, and
 //! assignments violating the guard cannot satisfy the ∃-conjunction
 //! (dually: cannot falsify the ∀-disjunction).
+//!
+//! The whole-word id that φ_w's leaf and binding guards compare against
+//! is resolved by the caller once per run and passed in; plans without
+//! the idiom get ⊥ and never look it up.
 
 use super::stats::EvalStats;
 use super::{PNode, PTerm, Plan};
@@ -23,6 +27,8 @@ use std::collections::HashSet;
 pub(crate) struct Exec<'a> {
     plan: &'a Plan,
     s: &'a FactorStructure,
+    /// The id of `w` itself (⊥ when the plan has no whole-word node).
+    whole: FactorId,
     stats: &'a mut EvalStats,
 }
 
@@ -30,9 +36,15 @@ impl<'a> Exec<'a> {
     pub(crate) fn new(
         plan: &'a Plan,
         s: &'a FactorStructure,
+        whole: FactorId,
         stats: &'a mut EvalStats,
     ) -> Exec<'a> {
-        Exec { plan, s, stats }
+        Exec {
+            plan,
+            s,
+            whole,
+            stats,
+        }
     }
 
     pub(crate) fn run(mut self, mut frame: Vec<FactorId>) -> bool {
@@ -45,6 +57,7 @@ impl<'a> Exec<'a> {
             PTerm::Slot(s) => frame[s as usize],
             PTerm::Sym(c) => self.s.constant(c),
             PTerm::Epsilon => self.s.epsilon(),
+            PTerm::Whole => self.whole,
         }
     }
 
@@ -88,6 +101,10 @@ impl<'a> Exec<'a> {
                 self.stats.dfa_checks += 1;
                 self.plan.dfas[*dfa_idx as usize].accepts(self.s.bytes_of(id))
             }
+            PNode::WholeWord(x) => {
+                let id = self.resolve(*x, frame);
+                id.is_bottom() || id == self.whole
+            }
             PNode::Not(inner) => !self.eval(inner, frame),
             PNode::And(items) => items.iter().all(|g| self.eval(g, frame)),
             PNode::Or(items) => items.iter().any(|g| self.eval(g, frame)),
@@ -119,7 +136,7 @@ impl<'a> Exec<'a> {
                 parts,
                 rest,
             } => {
-                let sols = chain_solutions(self.s, *lhs, parts, slots, frame);
+                let sols = self.chain_solutions(*lhs, parts, slots, frame);
                 for sol in &sols {
                     self.stats.guard_hits += 1;
                     for (&slot, &id) in slots.iter().zip(sol.iter()) {
@@ -137,7 +154,7 @@ impl<'a> Exec<'a> {
                 parts,
                 rest,
             } => {
-                let sols = chain_solutions(self.s, *lhs, parts, slots, frame);
+                let sols = self.chain_solutions(*lhs, parts, slots, frame);
                 for sol in &sols {
                     self.stats.guard_hits += 1;
                     for (&slot, &id) in slots.iter().zip(sol.iter()) {
@@ -151,72 +168,80 @@ impl<'a> Exec<'a> {
             }
         }
     }
-}
 
-/// All assignments of the block `slots` (as id tuples, in slot order)
-/// solving `lhs ≐ parts₁⋯parts_m`, given the outer `frame`.
-fn chain_solutions(
-    s: &FactorStructure,
-    lhs: PTerm,
-    parts: &[PTerm],
-    slots: &[u32],
-    frame: &[FactorId],
-) -> Vec<Vec<FactorId>> {
-    let block_pos = |t: PTerm| -> Option<usize> {
-        match t {
-            PTerm::Slot(sl) => slots.iter().position(|&x| x == sl),
-            _ => None,
-        }
-    };
-    let resolve = |t: PTerm| -> FactorId {
-        match t {
-            PTerm::Slot(sl) => frame[sl as usize],
-            PTerm::Sym(c) => s.constant(c),
-            PTerm::Epsilon => s.epsilon(),
-        }
-    };
-    let mut out: Vec<Vec<FactorId>> = Vec::new();
-    let mut seen: HashSet<Vec<FactorId>> = HashSet::new();
-    let mut local: Vec<Option<FactorId>> = vec![None; slots.len()];
+    /// All assignments of the block `slots` (as id tuples, in slot order)
+    /// solving `lhs ≐ parts₁⋯parts_m`, given the outer `frame`.
+    fn chain_solutions(
+        &self,
+        lhs: PTerm,
+        parts: &[PTerm],
+        slots: &[u32],
+        frame: &[FactorId],
+    ) -> Vec<Vec<FactorId>> {
+        let s = self.s;
+        let block_pos = |t: PTerm| -> Option<usize> {
+            match t {
+                PTerm::Slot(sl) => slots.iter().position(|&x| x == sl),
+                _ => None,
+            }
+        };
+        let resolve = |t: PTerm| self.resolve(t, frame);
+        let mut out: Vec<Vec<FactorId>> = Vec::new();
 
-    let lhs_candidates: Vec<FactorId> = match block_pos(lhs) {
-        Some(_) => s.universe().collect(),
-        None => {
-            let id = resolve(lhs);
-            if id.is_bottom() {
+        // `lhs ≐ v` with `lhs` bound outside the block (the whole-word
+        // guard's shape): the one solution is v := lhs, no split scan.
+        if let ([part], [_], None) = (parts, slots, block_pos(lhs)) {
+            if block_pos(*part).is_some() {
+                let id = resolve(lhs);
+                if !id.is_bottom() {
+                    out.push(vec![id]);
+                }
                 return out;
             }
-            vec![id]
         }
-    };
-    for lhs_id in lhs_candidates {
-        if let Some(p) = block_pos(lhs) {
-            local[p] = Some(lhs_id);
-        }
-        let target = s.bytes_of(lhs_id).to_vec();
-        match_parts(
-            s,
-            &target,
-            0,
-            parts,
-            &block_pos,
-            &resolve,
-            &mut local,
-            &mut |local| {
-                // All block slots must be determined (the lowering's coverage
-                // check guarantees each occurs in the chain).
-                if let Some(sol) = local.iter().copied().collect::<Option<Vec<FactorId>>>() {
-                    if seen.insert(sol.clone()) {
-                        out.push(sol);
-                    }
+
+        let mut seen: HashSet<Vec<FactorId>> = HashSet::new();
+        let mut local: Vec<Option<FactorId>> = vec![None; slots.len()];
+
+        let lhs_candidates: Vec<FactorId> = match block_pos(lhs) {
+            Some(_) => s.universe().collect(),
+            None => {
+                let id = resolve(lhs);
+                if id.is_bottom() {
+                    return out;
                 }
-            },
-        );
-        if let Some(p) = block_pos(lhs) {
-            local[p] = None;
+                vec![id]
+            }
+        };
+        for lhs_id in lhs_candidates {
+            if let Some(p) = block_pos(lhs) {
+                local[p] = Some(lhs_id);
+            }
+            let target = s.bytes_of(lhs_id).to_vec();
+            match_parts(
+                s,
+                &target,
+                0,
+                parts,
+                &block_pos,
+                &resolve,
+                &mut local,
+                &mut |local| {
+                    // All block slots must be determined (the lowering's
+                    // coverage check guarantees each occurs in the chain).
+                    if let Some(sol) = local.iter().copied().collect::<Option<Vec<FactorId>>>() {
+                        if seen.insert(sol.clone()) {
+                            out.push(sol);
+                        }
+                    }
+                },
+            );
+            if let Some(p) = block_pos(lhs) {
+                local[p] = None;
+            }
         }
+        out
     }
-    out
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -25,6 +25,14 @@
 //!   (whose slot cannot occur in any term) simply falls out of the
 //!   guarded suffix instead of disabling the optimization for the whole
 //!   block as the interpreter did.
+//! * **Whole-word idiom.** φ_w(x) = `¬∃z₁,z₂: (z₁ ≐ z₂·x ∨ z₁ ≐ x·z₂) ∧
+//!   ¬(z₂ ≐ ε)` ("x is the whole word", Example 2.3) is matched
+//!   structurally and lowered to a [`PNode::WholeWord`] leaf instead of a
+//!   Facs(w)² enumeration: a proper factor extends by one letter on the
+//!   left or the right, `w` does not, and ⊥ falsifies every atom. As an
+//!   ∃-conjunct (dually a ∀-disjunct ¬φ_w(v)) on a block variable v it is
+//!   a guard with the single solution v := w, so v is pinned first and
+//!   the rest of the block is lowered with v already bound.
 
 use super::{PNode, PTerm, Plan};
 use crate::formula::{Formula, Term, VarName};
@@ -59,12 +67,13 @@ pub(crate) fn lower(formula: &Formula) -> Plan {
         dfas: lw.dfas,
         nodes,
         guarded_blocks: lw.guarded,
+        whole_word_guards: lw.whole_word,
     }
 }
 
 fn count_nodes(n: &PNode) -> usize {
     1 + match n {
-        PNode::Eq(..) | PNode::EqChain(..) | PNode::In(..) => 0,
+        PNode::Eq(..) | PNode::EqChain(..) | PNode::In(..) | PNode::WholeWord(..) => 0,
         PNode::Not(inner) => count_nodes(inner),
         PNode::And(items) | PNode::Or(items) => items.iter().map(count_nodes).sum(),
         PNode::Exists(_, inner) | PNode::Forall(_, inner) => count_nodes(inner),
@@ -84,6 +93,8 @@ struct Lowerer {
     /// Structural regex → DFA index (the `Rc` map hashes the value).
     dfa_index: HashMap<Rc<Regex>, u32>,
     guarded: usize,
+    /// φ_w idioms lowered to a leaf or a whole-word binding guard.
+    whole_word: usize,
 }
 
 impl Lowerer {
@@ -134,12 +145,24 @@ impl Lowerer {
                 let i = self.dfa_idx(re);
                 PNode::In(self.term(x), i)
             }
-            Formula::Not(inner) => PNode::Not(Box::new(self.lower(inner))),
+            Formula::Not(inner) => match whole_word_block(inner) {
+                Some(x) => self.whole_word_leaf(x),
+                None => PNode::Not(Box::new(self.lower(inner))),
+            },
             Formula::And(items) => PNode::And(items.iter().map(|g| self.lower(g)).collect()),
             Formula::Or(items) => PNode::Or(items.iter().map(|g| self.lower(g)).collect()),
-            Formula::Exists(..) => self.lower_quant(Quant::Exists, f),
+            Formula::Exists(..) => match whole_word_block(f) {
+                // ¬φ_w(x), e.g. a ∀-disjunct not on a block variable.
+                Some(x) => PNode::Not(Box::new(self.whole_word_leaf(x))),
+                None => self.lower_quant(Quant::Exists, f),
+            },
             Formula::Forall(..) => self.lower_quant(Quant::Forall, f),
         }
+    }
+
+    fn whole_word_leaf(&mut self, x: &Term) -> PNode {
+        self.whole_word += 1;
+        PNode::WholeWord(self.term(x))
     }
 
     fn lower_quant(&mut self, kind: Quant, f: &Formula) -> PNode {
@@ -166,20 +189,54 @@ impl Lowerer {
     }
 
     /// Lowers a quantifier block over `slots` with the given body,
-    /// resolving guard structure. Falls back to plain nesting when no
-    /// suffix of the block is covered by a word-equation guard.
+    /// resolving guard structure.
     fn lower_block(&mut self, kind: Quant, slots: &[u32], body: &Formula) -> PNode {
         // View the body as connective items + per-item guard candidates.
         // ∃: body is And(items), a guard item is a chain atom.
         // ∀: body is Or(items), a guard item is ¬(chain atom).
         // A bare guard atom counts as a singleton item list (the
         // interpreter required an explicit And/Or and missed these).
-        let items: Vec<&Formula> = match (kind, body) {
+        match (kind, body) {
             (Quant::Exists, Formula::And(items)) | (Quant::Forall, Formula::Or(items)) => {
-                items.iter().collect()
+                let items: Vec<&Formula> = items.iter().collect();
+                self.lower_items(kind, slots, &items)
             }
-            _ => vec![body],
-        };
+            _ => self.lower_items(kind, slots, &[body]),
+        }
+    }
+
+    /// Lowers the block `Q slots: ⊙ items` (⊙ = ∧ for ∃, ∨ for ∀). First
+    /// pins every block variable a φ_w item binds to `w`; then takes the
+    /// longest suffix of the remaining slots covered by a word-equation
+    /// guard; and falls back to plain nesting when there is none.
+    fn lower_items(&mut self, kind: Quant, slots: &[u32], items: &[&Formula]) -> PNode {
+        let pin = items.iter().enumerate().find_map(|(i, item)| {
+            let x = whole_word_item(kind, item)?;
+            match self.term(x) {
+                PTerm::Slot(slot) if slots.contains(&slot) => Some((i, slot)),
+                _ => None,
+            }
+        });
+        if let Some((pin_idx, slot)) = pin {
+            let inner_slots: Vec<u32> = slots.iter().copied().filter(|&s| s != slot).collect();
+            let inner_items: Vec<&Formula> = items
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != pin_idx)
+                .map(|(_, item)| *item)
+                .collect();
+            let inner = self.lower_items(kind, &inner_slots, &inner_items);
+            self.guarded += 1;
+            self.whole_word += 1;
+            return guarded(
+                kind,
+                vec![slot],
+                PTerm::Whole,
+                vec![PTerm::Slot(slot)],
+                vec![inner],
+            );
+        }
+
         let chain_of = |item: &Formula| -> Option<(Term, Vec<Term>)> {
             let atom = match kind {
                 Quant::Exists => item,
@@ -225,38 +282,128 @@ impl Lowerer {
                 .map(|(_, item)| self.lower(item))
                 .collect();
             self.guarded += 1;
-            let mut node = match kind {
-                Quant::Exists => PNode::GuardedExists {
-                    slots: suffix.to_vec(),
-                    lhs,
-                    parts,
-                    rest,
-                },
-                Quant::Forall => PNode::GuardedForall {
-                    slots: suffix.to_vec(),
-                    lhs,
-                    parts,
-                    rest,
-                },
-            };
-            for &slot in slots[..start].iter().rev() {
-                node = match kind {
-                    Quant::Exists => PNode::Exists(slot, Box::new(node)),
-                    Quant::Forall => PNode::Forall(slot, Box::new(node)),
-                };
-            }
-            return node;
+            let node = guarded(kind, suffix.to_vec(), lhs, parts, rest);
+            return nest(kind, &slots[..start], node);
         }
 
         // No guard anywhere: plain nested enumeration.
-        let mut node = self.lower(body);
-        for &slot in slots.iter().rev() {
-            node = match kind {
-                Quant::Exists => PNode::Exists(slot, Box::new(node)),
-                Quant::Forall => PNode::Forall(slot, Box::new(node)),
-            };
-        }
-        node
+        let node = match items {
+            [item] => self.lower(item),
+            _ => {
+                let nodes = items.iter().map(|item| self.lower(item)).collect();
+                match kind {
+                    Quant::Exists => PNode::And(nodes),
+                    Quant::Forall => PNode::Or(nodes),
+                }
+            }
+        };
+        nest(kind, slots, node)
+    }
+}
+
+fn guarded(kind: Quant, slots: Vec<u32>, lhs: PTerm, parts: Vec<PTerm>, rest: Vec<PNode>) -> PNode {
+    match kind {
+        Quant::Exists => PNode::GuardedExists {
+            slots,
+            lhs,
+            parts,
+            rest,
+        },
+        Quant::Forall => PNode::GuardedForall {
+            slots,
+            lhs,
+            parts,
+            rest,
+        },
+    }
+}
+
+/// Wraps `node` in plain quantifiers over `slots`, outermost first.
+fn nest(kind: Quant, slots: &[u32], mut node: PNode) -> PNode {
+    for &slot in slots.iter().rev() {
+        node = match kind {
+            Quant::Exists => PNode::Exists(slot, Box::new(node)),
+            Quant::Forall => PNode::Forall(slot, Box::new(node)),
+        };
+    }
+    node
+}
+
+/// The x of a block item that is φ_w(x) (for ∃) or ¬φ_w(x) (for ∀), the
+/// forms whose only satisfying (dually falsifying) x in Facs(w) is `w`.
+fn whole_word_item(kind: Quant, item: &Formula) -> Option<&Term> {
+    match (kind, item) {
+        (Quant::Exists, Formula::Not(block)) => whole_word_block(block),
+        (Quant::Forall, block) => whole_word_block(block),
+        _ => None,
+    }
+}
+
+/// Matches φ_w's inner block `∃z₁,z₂: (z₁ ≐ z₂·x ∨ z₁ ≐ x·z₂) ∧ ¬(z₂ ≐ ε)`
+/// (binders in either order, `∨` branches and `∧` conjuncts in either
+/// order; z₁ ≠ z₂ and x is neither) and returns x. This is exactly what
+/// `library::phi_whole_word` builds and what `to_source` →
+/// `parse_formula` gives back.
+///
+/// The block holds iff x is a factor other than `w`: a proper factor of
+/// `w` extends by one letter on the left or the right (z₂ that letter),
+/// `w` itself extends to nothing in Facs(w), and ⊥ falsifies every atom.
+/// So φ_w(x) is true iff x is ⊥ or x = `w`.
+fn whole_word_block<'f>(f: &'f Formula) -> Option<&'f Term> {
+    let Formula::Exists(b1, inner) = f else {
+        return None;
+    };
+    let Formula::Exists(b2, body) = inner.as_ref() else {
+        return None;
+    };
+    let Formula::And(conjuncts) = body.as_ref() else {
+        return None;
+    };
+    let [c1, c2] = conjuncts.as_slice() else {
+        return None;
+    };
+    // ¬(z₂ ≐ ε) names z₂; z₁ is the other binder.
+    let nonempty = |c: &'f Formula| match c {
+        Formula::Not(atom) => match atom.as_ref() {
+            Formula::Eq(Term::Var(z), Term::Epsilon, Term::Epsilon) => Some(z),
+            _ => None,
+        },
+        _ => None,
+    };
+    let (z2, disjunction) = match (nonempty(c1), nonempty(c2)) {
+        (Some(z), None) => (z, c2),
+        (None, Some(z)) => (z, c1),
+        _ => return None,
+    };
+    let z1 = if z2 == b2 && b1 != b2 {
+        b1
+    } else if z2 == b1 && b1 != b2 {
+        b2
+    } else {
+        return None;
+    };
+    let Formula::Or(branches) = disjunction else {
+        return None;
+    };
+    let [d1, d2] = branches.as_slice() else {
+        return None;
+    };
+    // z₁ ≐ z₂·x and z₁ ≐ x·z₂, with the same x.
+    let left = |d: &'f Formula| match d {
+        Formula::Eq(Term::Var(a), Term::Var(b), x) if a == z1 && b == z2 => Some(x),
+        _ => None,
+    };
+    let right = |d: &'f Formula| match d {
+        Formula::Eq(Term::Var(a), x, Term::Var(b)) if a == z1 && b == z2 => Some(x),
+        _ => None,
+    };
+    let x = [(d1, d2), (d2, d1)]
+        .into_iter()
+        .find_map(|(l, r)| left(l).zip(right(r)).filter(|(x, y)| x == y))
+        .map(|(x, _)| x)?;
+    match x {
+        Term::Var(v) if v == z1 || v == z2 => None,
+        _ => Some(x),
     }
 }
 

@@ -24,7 +24,9 @@
 //! [`PNode::GuardedForall`]) during lowering; and every variable binder
 //! gets a dense **slot** in a flat `Vec<FactorId>` frame, so variable
 //! resolution is an array index. Because each binder owns a distinct slot,
-//! shadowed names cost nothing and no save/restore is needed.
+//! shadowed names cost nothing and no save/restore is needed. The
+//! φ_w ("x is the whole word") idiom is recognised there too and runs in
+//! O(1) ([`PNode::WholeWord`], or a guard pinning its variable to `w`).
 //!
 //! A `Plan` holds no `Rc` and is `Send + Sync`, which is what lets
 //! [`crate::language`]'s windowed checks fan words out over
@@ -58,6 +60,8 @@ pub(crate) enum PTerm {
     Sym(u8),
     /// The empty-word constant ε.
     Epsilon,
+    /// The whole input word `w` (the solution of a φ_w guard).
+    Whole,
 }
 
 /// A compiled plan node. Mirrors [`Formula`] except that quantifier blocks
@@ -71,6 +75,9 @@ pub(crate) enum PNode {
     EqChain(PTerm, Vec<PTerm>),
     /// Regular constraint; the index points into [`Plan::dfas`].
     In(PTerm, u32),
+    /// φ_w(x), "x is the whole word" (Example 2.3), recognised at lowering:
+    /// true iff x is ⊥ or x = w.
+    WholeWord(PTerm),
     Not(Box<PNode>),
     And(Vec<PNode>),
     Or(Vec<PNode>),
@@ -120,6 +127,9 @@ pub struct Plan {
     pub(crate) nodes: usize,
     /// Number of quantifier blocks resolved to guard-directed form.
     pub(crate) guarded_blocks: usize,
+    /// Number of φ_w idioms lowered to a [`PNode::WholeWord`] leaf or a
+    /// whole-word binding guard; zero means no run resolves `w`'s id.
+    pub(crate) whole_word_guards: usize,
 }
 
 impl Plan {
@@ -147,6 +157,12 @@ impl Plan {
     /// Number of quantifier blocks resolved to guard-directed enumeration.
     pub fn guarded_block_count(&self) -> usize {
         self.guarded_blocks
+    }
+
+    /// Number of φ_w ("x is the whole word") idioms evaluated in O(1)
+    /// instead of by enumeration: leaves plus whole-word binding guards.
+    pub fn whole_word_guard_count(&self) -> usize {
+        self.whole_word_guards
     }
 
     /// The free variables of the compiled formula, in sorted order.
@@ -178,12 +194,23 @@ impl Plan {
         frame
     }
 
+    /// The id of `w` itself for the whole-word nodes, or ⊥ when the plan
+    /// has none (so idiom-free plans never pay the lookup).
+    fn whole_word_id(&self, structure: &FactorStructure) -> FactorId {
+        if self.whole_word_guards > 0 {
+            structure.full_word_id()
+        } else {
+            FactorId::BOTTOM
+        }
+    }
+
     /// `(𝔄_w, σ) ⊨ φ` via the compiled plan. Free variables must all be
     /// bound in `sigma`; extra bindings are ignored.
     pub fn eval(&self, structure: &FactorStructure, sigma: &Assignment) -> bool {
         let mut stats = EvalStats::default();
         let frame = self.frame_from(sigma);
-        exec::Exec::new(self, structure, &mut stats).run(frame)
+        let whole = self.whole_word_id(structure);
+        exec::Exec::new(self, structure, whole, &mut stats).run(frame)
     }
 
     /// [`Plan::eval`] with instrumentation: plan-shape fields are set and
@@ -198,7 +225,8 @@ impl Plan {
         self.seed_stats(stats);
         let t0 = Instant::now();
         let frame = self.frame_from(sigma);
-        let verdict = exec::Exec::new(self, structure, stats).run(frame);
+        let whole = self.whole_word_id(structure);
+        let verdict = exec::Exec::new(self, structure, whole, stats).run(frame);
         stats.wall += t0.elapsed();
         verdict
     }
@@ -222,7 +250,8 @@ impl Plan {
         let t0 = Instant::now();
         let mut out = Vec::new();
         let mut frame = vec![FactorId::BOTTOM; self.slot_names.len()];
-        self.enumerate_free(structure, 0, &mut frame, stats, &mut out);
+        let whole = self.whole_word_id(structure);
+        self.enumerate_free(structure, whole, 0, &mut frame, stats, &mut out);
         stats.wall += t0.elapsed();
         out
     }
@@ -230,13 +259,14 @@ impl Plan {
     fn enumerate_free(
         &self,
         structure: &FactorStructure,
+        whole: FactorId,
         i: usize,
         frame: &mut Vec<FactorId>,
         stats: &mut EvalStats,
         out: &mut Vec<Assignment>,
     ) {
         if i == self.free.len() {
-            if exec::Exec::new(self, structure, stats).run(frame.clone()) {
+            if exec::Exec::new(self, structure, whole, stats).run(frame.clone()) {
                 let mut sigma = Assignment::new();
                 for (name, slot) in &self.free {
                     sigma.insert(std::rc::Rc::from(name.as_str()), frame[*slot as usize]);
@@ -248,7 +278,7 @@ impl Plan {
         let slot = self.free[i].1 as usize;
         for u in structure.universe() {
             frame[slot] = u;
-            self.enumerate_free(structure, i + 1, frame, stats, out);
+            self.enumerate_free(structure, whole, i + 1, frame, stats, out);
         }
         frame[slot] = FactorId::BOTTOM;
     }

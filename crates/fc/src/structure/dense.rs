@@ -69,7 +69,7 @@ impl FactorInterner {
         }
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, test))]
     fn occupied(&self) -> usize {
         self.slots.iter().filter(|&&s| s != EMPTY).count()
     }
@@ -200,7 +200,7 @@ impl FactorBackend for DenseBackend {
         BackendKind::Dense
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, test))]
     fn universe_len_recount(&self) -> usize {
         // Every factor occupies exactly one interner slot.
         self.interner.occupied()

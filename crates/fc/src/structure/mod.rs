@@ -116,7 +116,7 @@ pub trait FactorBackend {
     fn kind(&self) -> BackendKind;
     /// Recounts the universe from first principles (debug cross-check for
     /// the `universe_len` consistency asserts).
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, test))]
     fn universe_len_recount(&self) -> usize;
 }
 

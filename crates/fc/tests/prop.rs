@@ -277,6 +277,31 @@ proptest! {
     }
 
     #[test]
+    fn whole_word_guards_agree_with_naive(
+        psi in formula_reg(),
+        var in prop::sample::select(VARS.to_vec()),
+        w in word(4),
+    ) {
+        // φ_w(v) as an ∃-conjunct and ¬φ_w(v) as a ∀-disjunct are the
+        // shapes the planner pins to v := w; ψ may mention v freely.
+        let whole = fc_logic::library::phi_whole_word(var);
+        let s = FactorStructure::new(w.clone(), &Alphabet::ab());
+        for phi in [
+            Formula::exists(&[var], Formula::and([whole.clone(), psi.clone()])),
+            Formula::forall(&[var], Formula::or([Formula::not(whole.clone()), psi.clone()])),
+        ] {
+            let m = close(&phi, &s);
+            let plan = Plan::compile(&phi);
+            prop_assert!(plan.whole_word_guard_count() > 0, "phi={}", phi);
+            prop_assert_eq!(
+                plan.eval(&s, &m),
+                holds_naive(&phi, &s, &m),
+                "phi={} w={}", phi, w
+            );
+        }
+    }
+
+    #[test]
     fn plan_reuse_across_a_window_matches_per_word_naive(phi in formula_reg()) {
         // One plan, many words: compiling once and sweeping the window
         // must match recompiling (or interpreting) per word.

@@ -19,6 +19,9 @@ echo "==> verdict-cascade suites (fc-games lib + batch/table differentials, fc-s
 cargo test -q --offline --release -p fc-games --lib --test batch_diff --test table_diff
 cargo test -q --offline --release -p fc-serve
 
+echo "==> planner suites (fc-logic lib + plan_diff differential + FC[REG] proptests; release)"
+cargo test -q --offline --release -p fc-logic --lib --test plan_diff --test prop
+
 echo "==> solver perf smokes (E08 confirmation + P9 batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires, release, generous budgets)"
 cargo test -q --offline --release -p fc-games --test perf_smoke -- --nocapture --skip pr10_
 
