@@ -21,11 +21,17 @@
 //!   same-primitive-root pairs, confirming *and* refuting, before any
 //!   structure exists), fingerprint-based refutation of inequivalent
 //!   pairs *without* entering the game, canonical-pair sharing through a
-//!   verdict memo and the transposition table's root entries (one tier
+//!   verdict memo and, on a table shared with an outer engine
+//!   ([`BatchSolver::share_table`]), the table's root entries (one tier
 //!   cascade, see [`BatchSolver`]), union-find class merging for
 //!   [`BatchSolver::classify`], and a work-stealing parallel pair grid
 //!   (`std::thread::scope`) with per-worker solver reuse
 //!   ([`EfSolver::rebind`]).
+//!
+//! A batch without a shared table runs its sequential solves table-free
+//! and allocates a transposition table only for parallel solves, whose
+//! workers share subgames through it. Its root entries could answer
+//! nothing the exact canonical memo does not answer first.
 //!
 //! Every optimisation is semantically invisible: parallel output equals
 //! sequential output (at most one class representative can match a
@@ -349,9 +355,9 @@ pub struct BatchConfig {
     pub solver_threads: usize,
 }
 
-/// Slot budget of a batch's private transposition table (one not replaced
-/// by [`BatchSolver::share_table`]). The table is bounded (generational
-/// eviction), so this is a memory ceiling, not a growth rate.
+/// Slot budget of the table a batch without a shared one creates for its
+/// parallel solves. The table is bounded (generational eviction), so this
+/// is a memory ceiling, not a growth rate.
 const PRIVATE_TABLE_CAPACITY: usize = DEFAULT_TABLE_CAPACITY >> 2;
 
 impl Default for BatchConfig {
@@ -372,9 +378,9 @@ impl Default for BatchConfig {
 /// Every query walks one cascade of sound shortcut tiers, cheapest first,
 /// and stops at the first tier that answers: identity → pair
 /// memo → arithmetic oracle → fingerprint → rank-2 profile → canonical
-/// memo → transposition-table root → exact solver. This is the only place
-/// the order is written down; `fc serve`'s `game` and `classify` requests
-/// answer through it too.
+/// memo → shared transposition-table root → exact solver. This is the
+/// only place the order is written down; `fc serve`'s `game` and
+/// `classify` requests answer through it too.
 pub struct BatchSolver {
     arena: StructureArena,
     config: BatchConfig,
@@ -385,11 +391,18 @@ pub struct BatchSolver {
     /// letter-renamed and swapped images of a solved pair are free. Exact
     /// (full canonical words in the key), unlike the hashed table below.
     canon_verdicts: HashMap<(Box<[u8]>, u32), bool>,
-    /// The transposition table shared by every solver this batch runs
-    /// (probed at the canonical root before the exact search, fed by every
-    /// search). Either shared with an outer engine (`fc serve`) or created
-    /// on the first pair that reaches the table tier.
-    table: OnceLock<Arc<TransTable>>,
+    /// The transposition table shared with an outer engine (`fc serve`):
+    /// probed at the canonical root before the exact search and fed by
+    /// every search, so verdicts outlive the batch.
+    shared_table: Option<Arc<TransTable>>,
+    /// Without a shared table, the table of this batch's parallel solves
+    /// (their workers share subgames through it), created on the first
+    /// one. Sequential solves run table-free: the table's root entries
+    /// would only repeat `canon_verdicts` (same canonical key, same
+    /// 26-letter cap, probed after it), a search's own states are covered
+    /// by its solver's exact memo, and the game fingerprint keeps every
+    /// other pair's entries out of reach.
+    own_table: OnceLock<Arc<TransTable>>,
     stats: BatchStats,
 }
 
@@ -418,29 +431,38 @@ impl BatchSolver {
             config,
             verdicts: HashMap::new(),
             canon_verdicts: HashMap::new(),
-            table: OnceLock::new(),
+            shared_table: None,
+            own_table: OnceLock::new(),
             stats: BatchStats::default(),
         }
     }
 
-    /// Replaces the batch's transposition table with an externally shared
-    /// one (e.g. `fc serve`'s per-engine table), so verdict states persist
-    /// beyond this batch's lifetime.
+    /// Gives the batch an externally shared transposition table (e.g. `fc
+    /// serve`'s per-engine table): every solve uses it, and its root
+    /// entries join the cascade, so verdicts persist beyond this batch's
+    /// lifetime.
     pub fn share_table(&mut self, table: Arc<TransTable>) {
-        self.table = OnceLock::from(table);
+        self.shared_table = Some(table);
     }
 
     /// The transposition table's own counters (hits, misses, inserts,
-    /// evictions, capacity); all zero while no pair has reached the table
-    /// tier of a batch with no shared table.
+    /// evictions, capacity); all zero for a batch with no shared table
+    /// until it runs a parallel solve.
     pub fn table_stats(&self) -> TransTableStats {
-        self.table.get().map(|t| t.stats()).unwrap_or_default()
+        self.shared_table
+            .as_ref()
+            .or(self.own_table.get())
+            .map(|t| t.stats())
+            .unwrap_or_default()
     }
 
-    /// The transposition table, created on first use unless one was shared.
-    fn table(&self) -> &Arc<TransTable> {
-        self.table
-            .get_or_init(|| Arc::new(TransTable::new(PRIVATE_TABLE_CAPACITY)))
+    /// The table for a parallel solve: the shared one, or the batch's own,
+    /// created on first use.
+    fn parallel_table(&self) -> &Arc<TransTable> {
+        self.shared_table.as_ref().unwrap_or_else(|| {
+            self.own_table
+                .get_or_init(|| Arc::new(TransTable::new(PRIVATE_TABLE_CAPACITY)))
+        })
     }
 
     /// The underlying arena.
@@ -517,23 +539,32 @@ impl BatchSolver {
         }
         // The canonical layers: first the exact canonical memo (letter-
         // renamed / swapped images of an already-decided pair), then a
-        // root probe of the transposition table under the canonical
+        // root probe of the shared transposition table under the canonical
         // fingerprint — a hit solves the pair without a game.
         if let Some(ck) = self.canon_key_of(lo, hi, k) {
             if let Some(&v) = self.canon_verdicts.get(&ck) {
                 return Some((v, Tier::CanonMemo));
             }
         }
+        let table = self.shared_table.as_ref()?;
         let fp = self.root_fp_of(lo, hi, k)?;
-        let v = self.table().probe_root(fp, k)?;
+        let v = table.probe_root(fp, k)?;
         Some((v, Tier::TableRoot))
     }
 
-    /// Runs the exact solver on `lo` vs `hi`, feeding the transposition
-    /// table and folding its counters into the batch's.
+    /// Runs the exact solver on `lo` vs `hi`, folding its counters into
+    /// the batch's. A sequential solve uses the shared table if there is
+    /// one and no table otherwise; a parallel one always has a table.
     fn solve(&mut self, lo: WordId, hi: WordId, k: u32) -> bool {
-        let mut solver =
-            EfSolver::new(self.arena.game(lo, hi)).with_table(Arc::clone(self.table()));
+        let mut solver = EfSolver::new(self.arena.game(lo, hi));
+        let table = match (&self.shared_table, self.config.solver_threads) {
+            (Some(table), _) => Some(table),
+            (None, 1) => None,
+            (None, _) => Some(self.parallel_table()),
+        };
+        if let Some(table) = table {
+            solver.attach_table(Arc::clone(table));
+        }
         let verdict = match self.config.solver_threads {
             0 => solver.equivalent_auto(k),
             1 => solver.equivalent(k),
@@ -567,8 +598,8 @@ impl BatchSolver {
             Tier::Solver => {
                 self.stats.pairs_solved += 1;
                 self.record_canonical(lo, hi, k, verdict);
-                if let Some(fp) = self.root_fp_of(lo, hi, k) {
-                    self.table().insert_root(fp, k, verdict);
+                if let (Some(table), Some(fp)) = (&self.shared_table, self.root_fp_of(lo, hi, k)) {
+                    table.insert_root(fp, k, verdict);
                 }
             }
         }
@@ -796,7 +827,7 @@ impl BatchSolver {
         const CHUNK: usize = 4;
         let arena = &self.arena;
         let solver_threads = self.config.solver_threads;
-        let table = self.table();
+        let table = self.parallel_table();
         let cursor = AtomicUsize::new(0);
         let mut merged: Vec<(usize, bool)> = Vec::with_capacity(jobs.len());
         let mut solver_stats = SolverStats::default();
@@ -1306,28 +1337,35 @@ mod tests {
     }
 
     #[test]
-    fn private_table_is_created_only_when_a_pair_reaches_it() {
-        // Pairs decided by identity, memo or arith never need the
-        // transposition table, so the batch never allocates one.
-        let mut arena = StructureArena::new(Alphabet::ab());
-        let ids: Vec<WordId> = (0..6)
-            .map(|n| arena.intern(&Word::from("a").pow(n)))
-            .collect();
-        let mut batch = BatchSolver::with_config(
-            arena,
-            BatchConfig {
-                use_fingerprints: false,
-                ..BatchConfig::default()
-            },
-        );
-        batch.classify(&ids, 1);
-        assert!(batch.table.get().is_none());
+    fn sequential_solves_without_a_shared_table_allocate_none() {
+        // A batch with no shared table runs its sequential solves
+        // table-free: no transposition table exists even after the
+        // solver has run, and the partition is still the exact one.
+        let words: Vec<Word> = Alphabet::ab().words_up_to(3).collect();
+        let (arena, ids) = StructureArena::for_words(&words);
+        // Invariant and arithmetic tiers off, so the pairs reach the solver.
+        let config = BatchConfig {
+            use_fingerprints: false,
+            use_arith: false,
+            ..BatchConfig::default()
+        };
+        let mut batch = BatchSolver::with_config(arena, config);
+        let classes = batch.classify(&ids, 2);
+        let stats = batch.stats();
+        assert!(stats.pairs_solved > 0, "the solver must run: {stats}");
+        assert!(batch.own_table.get().is_none());
         assert_eq!(batch.table_stats(), TransTableStats::default());
-        // An aperiodic pair reaches the table tier.
-        let aabb = batch.intern(&Word::from("aabb"));
-        let abab = batch.intern(&Word::from("abab"));
-        batch.equivalent(aabb, abab, 1);
-        assert!(batch.table_stats().capacity > 0);
+        assert_eq!(stats.table_root_hits, 0);
+        assert_eq!(
+            stats.solver.table_hits + stats.solver.table_misses,
+            0,
+            "a table-free solve probes no table"
+        );
+        let classes: Vec<Vec<Word>> = classes
+            .iter()
+            .map(|class| class.iter().map(|&pos| words[pos].clone()).collect())
+            .collect();
+        assert_eq!(classes, crate::hintikka::classes_naive(&words, 2));
     }
 
     #[test]

@@ -18,15 +18,17 @@
 //!   occur. So `w ≡_0 v` iff the occurring-letter sets agree — and
 //!   `≡_k ⊆ ≡_0` makes the profile an invariant at every rank.
 //! - **Rank-1 type profile** (rank ≥ 1). For an element `x` of 𝔄_w, its
-//!   atom type is the truth vector of all atoms `t₁ ≐ t₂·t₃` over the
-//!   terms `{x} ∪ {letter constants, ε}` (equality `x = c` is the atom
-//!   `x ≐ c·ε`). A quantifier-rank-1 sentence `∃x φ(x)` with
-//!   quantifier-free `φ` can pin any such type exactly, so `w ≡_1 v`
-//!   forces the *sets* of realised types to coincide; by monotonicity the
-//!   profile is invariant for every `k ≥ 1`. (This is precisely what the
-//!   solver's first round can distinguish: a Duplicator response to `x`
-//!   keeps the constant-seeded tuples a partial isomorphism iff its type
-//!   equals the type of `x`.)
+//!   **seed type** (`partial_iso::SeedTypes`) is the truth vector of the
+//!   equalities `x = c` and of every atom `t₁ ≐ t₂·t₃` over the terms
+//!   `{x} ∪ {letter constants, ε}` that mentions `x`. A
+//!   Duplicator response to `x` keeps the constant-seeded tuples a
+//!   partial isomorphism iff its seed type equals that of `x` — exactly
+//!   what the solver's first round tests, and what its guide groups
+//!   responses by. So `w ≡_1 v` forces the *sets* of realised seed types
+//!   to coincide; by monotonicity the profile is invariant for every
+//!   `k ≥ 1`. (The atoms over constants alone are left out: they are
+//!   fixed by the letter profile, which [`Fingerprint::refutes`] checks
+//!   first.)
 //! - **Truncated factor sets** (rank ≥ 1). A factor `u` with `|u| ≤ k+1`
 //!   is pinned by the rank-k sentence
 //!   `∃x₁…∃x_{|u|−1}: x₁ ≐ c·c' ∧ x₂ ≐ x₁·c'' ∧ …` (left-to-right
@@ -71,9 +73,10 @@
 //! replays the same claim on random windows.
 //!
 //! Fingerprints are only comparable between structures built over the
-//! **same alphabet** Σ (the constant term order enters the type codes);
+//! **same alphabet** Σ (the constant term order enters the seed types);
 //! [`crate::batch::StructureArena`] guarantees this by construction.
 
+use crate::partial_iso::SeedTypes;
 use fc_logic::FactorStructure;
 
 /// Highest factor-set truncation level the fingerprint stores. Ranks with
@@ -132,14 +135,14 @@ impl Fingerprint {
             }
         }
 
-        // Rank-1 type profile: the realised set of per-element type codes.
-        let consts = s.constants_vector();
-        let mut codes: Vec<u64> = s.universe().map(|x| type_code(s, &consts, x)).collect();
-        codes.sort_unstable();
-        codes.dedup();
+        // Rank-1 type profile: the realised set of exact seed types.
+        let types = SeedTypes::of(s, &s.constants_vector());
+        let mut realised: Vec<&[u64]> = s.universe().map(|x| types.get(x)).collect();
+        realised.sort_unstable();
+        realised.dedup();
         let mut type1 = FNV_OFFSET;
-        for code in codes {
-            type1 = fnv_u64(type1, code);
+        for &word in realised.into_iter().flatten() {
+            type1 = fnv_u64(type1, word);
         }
 
         // Truncated factor sets, as **commutative** per-length folds: each
@@ -207,27 +210,6 @@ impl Fingerprint {
         let level = (k as usize + 1).min(FACTOR_LEVEL_CAP);
         (self.letters, self.type1, self.factor_levels[level - 1])
     }
-}
-
-/// The rank-1 atom type of element `x`: the folded truth vector of every
-/// atom `t₁ ≐ t₂·t₃` over the terms `{x} ∪ consts`, in a fixed order
-/// shared by both sides of any same-Σ pair. Triples not involving `x` are
-/// included for simplicity; they are constant across elements and agree
-/// between letter-profile-equal words, so they cannot manufacture a
-/// spurious difference.
-fn type_code(s: &FactorStructure, consts: &[fc_logic::FactorId], x: fc_logic::FactorId) -> u64 {
-    let nterms = consts.len() + 1;
-    let term = |i: usize| if i == 0 { x } else { consts[i - 1] };
-    let mut h = FNV_OFFSET;
-    for l in 0..nterms {
-        for i in 0..nterms {
-            for j in 0..nterms {
-                let holds = s.concat_holds(term(l), term(i), term(j));
-                h = fnv_u64(h, u64::from(holds));
-            }
-        }
-    }
-    h
 }
 
 /// Folds the truth bits of the atom triples in `tris` (term index 0 = `x`,

@@ -125,6 +125,85 @@ pub fn consistent_extension_seeded(
     )
 }
 
+/// The **seed type** of every element of one structure: the truth vector
+/// of each condition [`consistent_extension_seeded`]`(base, &[], new)`
+/// evaluates on the element `x` of `new` on this side, in a fixed order.
+/// The conditions are the equality `x = sᵢ` against each seeding element,
+/// and every concat triple over `seeding ∪ {x}` that mentions `x`. Each
+/// condition of that check compares one side's bit with the other's, so
+/// for a seeding of zipped pairs `(s_A, s_B)`:
+///
+/// `base ∪ {(x, y)}` is consistent ⟺ `type_A(x) == type_B(y)` (exactly).
+///
+/// So seed compatibility is equality of a per-element key, not a pairwise
+/// relation (docs/SOLVER.md §9.4). The vectors sit in one flat buffer with
+/// a fixed stride of `⌈bits / 64⌉` words, where a seeding of `n` elements
+/// gives `n + (n+1)² + n(n+1) + n²` bits. Cost: that many probes per
+/// element, through the monomorphized [`ConcatOracle`].
+pub(crate) struct SeedTypes {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl SeedTypes {
+    /// The seed types of every element of `s` against `seeding` (this
+    /// side's half of the constant pairs).
+    pub(crate) fn of(s: &FactorStructure, seeding: &[FactorId]) -> SeedTypes {
+        use fc_logic::ConcatView as V;
+        match s.concat_view() {
+            V::Dense(v) => SeedTypes::of_on(v, s.universe_len(), seeding),
+            V::Succinct(v) => SeedTypes::of_on(v, s.universe_len(), seeding),
+        }
+    }
+
+    fn of_on(view: impl ConcatOracle, universe_len: usize, seeding: &[FactorId]) -> SeedTypes {
+        let n = seeding.len();
+        let bits = n + (n + 1) * (n + 1) + n * (n + 1) + n * n;
+        let stride = bits.div_ceil(64);
+        let mut words = vec![0u64; stride * universe_len];
+        for (e, row) in words.chunks_exact_mut(stride).enumerate() {
+            let x = FactorId(e as u32);
+            let ext = |i: usize| if i < n { seeding[i] } else { x };
+            let mut bit = 0usize;
+            let mut push = |holds: bool| {
+                row[bit / 64] |= u64::from(holds) << (bit % 64);
+                bit += 1;
+            };
+            for &s in seeding {
+                push(x == s);
+            }
+            for i in 0..=n {
+                for j in 0..=n {
+                    push(view.concat_holds(x, ext(i), ext(j)));
+                }
+            }
+            for &l in seeding {
+                for j in 0..=n {
+                    push(view.concat_holds(l, x, ext(j)));
+                }
+            }
+            for &l in seeding {
+                for &i in seeding {
+                    push(view.concat_holds(l, i, x));
+                }
+            }
+        }
+        SeedTypes { stride, words }
+    }
+
+    /// Number of elements (the structure's universe size).
+    pub(crate) fn len(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// The seed type of element `x` (a real element, not ⊥).
+    #[inline]
+    pub(crate) fn get(&self, x: FactorId) -> &[u64] {
+        let at = x.0 as usize * self.stride;
+        &self.words[at..at + self.stride]
+    }
+}
+
 /// Second-order incremental check, the guided solver's hot path
 /// (docs/SOLVER.md §9): assuming `base ∪ {new}` is consistent (the seed
 /// compatibility precomputed per response candidate) **and** `base ∪

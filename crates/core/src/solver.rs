@@ -27,11 +27,12 @@
 //!   forced replays and collapse into a single memoized check (usually
 //!   skipped outright by a monotonicity argument), and identical-word
 //!   subgames are accepted immediately via the identity strategy;
-//! - **guided move ordering** (§9) — a per-game [`Guide`] precomputes,
-//!   for every element, the list of *seed-compatible* responses (those
-//!   consistent with the constant seeding alone; by monotonicity any
-//!   other response is inconsistent in every reachable state). Response
-//!   searches walk only that list — mirror first, then by factor-length
+//! - **guided move ordering** (§9) — a per-game [`Guide`] groups each
+//!   side's elements by exact *seed type*, so every element's
+//!   *seed-compatible* responses (those consistent with the constant
+//!   seeding alone; by monotonicity any other response is inconsistent
+//!   in every reachable state) are one group of the other side. Response
+//!   searches walk only that group — mirror first, then by factor-length
 //!   proximity — and per-state consistency reduces to the delta check
 //!   [`crate::partial_iso::consistent_extension_delta`]. Spoiler moves
 //!   are ordered by ascending compatible-response count, so profile-
@@ -51,7 +52,7 @@
 //! on structured instances; `fc-bench` measures the crossover.
 
 use crate::arena::{GamePair, Side};
-use crate::partial_iso::{consistent_extension_delta, pack_pair, unpack_pair, Pair};
+use crate::partial_iso::{consistent_extension_delta, pack_pair, unpack_pair, Pair, SeedTypes};
 use crate::ttable::{TransTable, DEFAULT_TABLE_CAPACITY};
 use fc_logic::FactorId;
 use std::collections::HashMap;
@@ -93,98 +94,243 @@ impl SolverStats {
 }
 
 /// Guided-search tables, built once per game on first use (docs/SOLVER.md
-/// §9). `compat_*[e]` is the *seed-compatible response list* of element
-/// `e`: every opposite-side element `r` such that the single pair for
-/// `(e, r)` extends the constant seeding consistently. Soundness of
-/// restricting response searches to this list is the monotonicity of
+/// §9.4). [`Guide::responses`] walks the *seed-compatible responses* of
+/// an element `e`: every opposite-side element `r` such that the single
+/// pair for `(e, r)` extends the constant seeding consistently. Soundness
+/// of restricting response searches to them is the monotonicity of
 /// Definition 3.1: its conditions quantify universally over the chosen
 /// pairs, so a pair inconsistent with a *subset* of a state (here: the
 /// seeding, a subset of every state) is inconsistent with the state
-/// itself. Lists are ordered mirror-first, then by factor-length
-/// proximity — the replay/identity heuristic that makes confirmations
+/// itself. Responses come mirror-first, then by factor-length proximity
+/// (ties by id) — the replay/identity heuristic that makes confirmations
 /// close on the first candidate almost always.
 ///
-/// `order_*` sorts each universe by ascending compatible-response count:
-/// an element with an *empty* list is precisely one whose rank-1 atom
-/// type (the per-element component of [`crate::fingerprint`]'s type
+/// `order` sorts each universe by ascending compatible-response count:
+/// an element with *no* compatible response is precisely one whose seed
+/// type (the per-element component of [`crate::fingerprint`]'s rank-1
 /// profile) is realised on one side only, and playing it refutes the
 /// game immediately — profile-disagreeing moves surface first.
 struct Guide {
-    compat_a: Vec<Box<[FactorId]>>,
-    compat_b: Vec<Box<[FactorId]>>,
-    order_a: Box<[FactorId]>,
-    order_b: Box<[FactorId]>,
+    a: GuideSide,
+    b: GuideSide,
 }
 
-/// The guide costs O(|U_A|·|U_B|) seed-compatibility checks and at most
-/// one `u32` per compatible pair; above this product the solver falls
-/// back to the unguided scan (the guide would cost more memory than the
-/// search saves).
+/// One side's half of a [`Guide`]: how its elements find their responses
+/// among the other side's elements.
+struct GuideSide {
+    /// The other side's elements as `(len, id)`, sorted by exact seed
+    /// type, then length, then id: each type's group is one run.
+    members: Box<[(u32, u32)]>,
+    /// Per element of this side.
+    entries: Vec<GuideEntry>,
+    /// This side's elements by ascending response count, ties by id.
+    order: Box<[FactorId]>,
+}
+
+#[derive(Clone, Copy)]
+struct GuideEntry {
+    /// `members[start..end]` is the group with this element's seed type
+    /// (empty: no compatible response).
+    start: u32,
+    end: u32,
+    /// The element's factor length.
+    len: u32,
+    /// The element's mirror, when it is compatible.
+    mirror: Option<FactorId>,
+}
+
+/// Games above this universe product fall back to the unguided scan. The
+/// cap was sized for guides that materialized one list entry per
+/// compatible pair; the guide is linear in the universes now, but lifting
+/// the cap would change the search order of the games above it.
 const GUIDE_PAIR_CAP: usize = 1 << 22;
 
 impl Guide {
+    /// Builds both halves from exact seed types ([`SeedTypes`]): `(x, y)`
+    /// is seed-compatible iff the two types are equal, so an element's
+    /// responses are the other side's group of its type. Cost:
+    /// O((|U_A| + |U_B|)·n²) probes for an `n`-pair seeding and one sort
+    /// per side; the responses are walked on demand.
     fn build(game: &GamePair) -> Option<Guide> {
         let na = game.a.universe_len();
         let nb = game.b.universe_len();
         if na.saturating_mul(nb) > GUIDE_PAIR_CAP {
             return None;
         }
-        let len_a: Vec<u32> = (0..na as u32)
-            .map(|i| game.a.len_of(FactorId(i)) as u32)
-            .collect();
-        let len_b: Vec<u32> = (0..nb as u32)
-            .map(|i| game.b.len_of(FactorId(i)) as u32)
-            .collect();
-        let mut compat_a: Vec<Vec<FactorId>> = vec![Vec::new(); na];
-        let mut compat_b: Vec<Vec<FactorId>> = vec![Vec::new(); nb];
-        for x in 0..na as u32 {
-            for y in 0..nb as u32 {
-                if game.consistent_seeded(&[], (FactorId(x), FactorId(y))) {
-                    compat_a[x as usize].push(FactorId(y));
-                    compat_b[y as usize].push(FactorId(x));
-                }
-            }
-        }
-        let finish = |mut lists: Vec<Vec<FactorId>>,
-                      side: Side,
-                      own_len: &[u32],
-                      other_len: &[u32]|
-         -> (Vec<Box<[FactorId]>>, Box<[FactorId]>) {
-            for (e, list) in lists.iter_mut().enumerate() {
-                let mirror = game.mirror(side, FactorId(e as u32));
-                let le = own_len[e];
-                list.sort_by_key(|&r| {
-                    (Some(r) != mirror, other_len[r.0 as usize].abs_diff(le), r.0)
-                });
-            }
-            let mut order: Vec<FactorId> = (0..lists.len() as u32).map(FactorId).collect();
-            order.sort_by_key(|&e| (lists[e.0 as usize].len(), e.0));
-            (
-                lists.into_iter().map(Vec::into_boxed_slice).collect(),
-                order.into_boxed_slice(),
-            )
-        };
-        let (compat_a, order_a) = finish(compat_a, Side::A, &len_a, &len_b);
-        let (compat_b, order_b) = finish(compat_b, Side::B, &len_b, &len_a);
+        let seeding_a: Vec<FactorId> = game.constant_pairs.iter().map(|p| p.0).collect();
+        let seeding_b: Vec<FactorId> = game.constant_pairs.iter().map(|p| p.1).collect();
+        let types_a = SeedTypes::of(&game.a, &seeding_a);
+        let types_b = SeedTypes::of(&game.b, &seeding_b);
         Some(Guide {
-            compat_a,
-            compat_b,
-            order_a,
-            order_b,
+            a: GuideSide::build(game, Side::A, &types_a, &types_b),
+            b: GuideSide::build(game, Side::B, &types_b, &types_a),
         })
     }
 
-    fn compat(&self, side: Side, element: FactorId) -> &[FactorId] {
+    fn side(&self, side: Side) -> &GuideSide {
         match side {
-            Side::A => &self.compat_a[element.0 as usize],
-            Side::B => &self.compat_b[element.0 as usize],
+            Side::A => &self.a,
+            Side::B => &self.b,
         }
     }
 
+    /// The seed-compatible responses to `element` (a real element of
+    /// `side`), in search order.
+    fn responses(&self, side: Side, element: FactorId) -> Responses<'_> {
+        let half = self.side(side);
+        let entry = half.entries[element.0 as usize];
+        let group = &half.members[entry.start as usize..entry.end as usize];
+        Responses::new(group, entry.len, entry.mirror)
+    }
+
     fn order(&self, side: Side) -> &[FactorId] {
-        match side {
-            Side::A => &self.order_a,
-            Side::B => &self.order_b,
+        &self.side(side).order
+    }
+}
+
+impl GuideSide {
+    /// The half of `side`, whose elements have the seed types `own`,
+    /// against the other side's types `other`.
+    fn build(game: &GamePair, side: Side, own: &SeedTypes, other: &SeedTypes) -> GuideSide {
+        let own_s = game.structure(side);
+        let other_s = game.structure(side.other());
+        let ty = |r: u32| other.get(FactorId(r));
+        let mut members: Vec<(u32, u32)> = (0..other.len() as u32)
+            .map(|r| (other_s.len_of(FactorId(r)) as u32, r))
+            .collect();
+        members.sort_unstable_by(|&x, &y| ty(x.1).cmp(ty(y.1)).then(x.cmp(&y)));
+        // The first member of each group, for the lookups below.
+        let heads: Vec<usize> = (0..members.len())
+            .filter(|&m| m == 0 || ty(members[m - 1].1) != ty(members[m].1))
+            .collect();
+        let entries: Vec<GuideEntry> = (0..own.len() as u32)
+            .map(|e| {
+                let e = FactorId(e);
+                let own_ty = own.get(e);
+                let (start, end) = match heads.binary_search_by(|&h| ty(members[h].1).cmp(own_ty)) {
+                    Ok(g) => (heads[g], heads.get(g + 1).copied().unwrap_or(members.len())),
+                    Err(_) => (0, 0),
+                };
+                GuideEntry {
+                    start: start as u32,
+                    end: end as u32,
+                    len: own_s.len_of(e) as u32,
+                    mirror: game.mirror(side, e).filter(|&m| other.get(m) == own_ty),
+                }
+            })
+            .collect();
+        let mut order: Vec<FactorId> = (0..entries.len() as u32).map(FactorId).collect();
+        order.sort_by_key(|&e| {
+            let entry = &entries[e.0 as usize];
+            (entry.end - entry.start, e.0)
+        });
+        GuideSide {
+            members: members.into_boxed_slice(),
+            entries,
+            order: order.into_boxed_slice(),
+        }
+    }
+}
+
+/// One element's responses: a compatibility group, sorted by `(len, id)`,
+/// walked in the guide's order — the mirror first (when given, it is a
+/// group member), then the rest by `(|len − len_e|, id)`. The walk goes
+/// outward from `len_e` and merges the two runs at each distance (one
+/// shorter, one longer, each ascending by id), one element per step: no
+/// list is built and nothing is sorted, so a search pays only for the
+/// responses it tries.
+struct Responses<'g> {
+    group: &'g [(u32, u32)],
+    len_e: u32,
+    /// The mirror, skipped by the walk; `lead` yields it first.
+    mirror: Option<FactorId>,
+    lead: Option<FactorId>,
+    /// The current distance's runs: `group[i..i_end]` (shorter) and
+    /// `group[j..j_end]` (longer or equal); `group[..i_start]` and
+    /// `group[j_end..]` are not reached yet.
+    i_start: usize,
+    i: usize,
+    i_end: usize,
+    j: usize,
+    j_end: usize,
+}
+
+impl<'g> Responses<'g> {
+    fn new(group: &'g [(u32, u32)], len_e: u32, mirror: Option<FactorId>) -> Responses<'g> {
+        let split = group.partition_point(|&(len, _)| len < len_e);
+        Responses {
+            group,
+            len_e,
+            mirror,
+            lead: mirror,
+            i_start: split,
+            i: split,
+            i_end: split,
+            j: split,
+            j_end: split,
+        }
+    }
+
+    /// Moves to the runs at the next distance; `false` when none is left.
+    fn advance(&mut self) -> bool {
+        let (group, len_e) = (self.group, self.len_e);
+        let (lo, hi) = (self.i_start, self.j_end);
+        let d_lo = if lo > 0 {
+            len_e - group[lo - 1].0
+        } else {
+            u32::MAX
+        };
+        let d_hi = if hi < group.len() {
+            group[hi].0 - len_e
+        } else {
+            u32::MAX
+        };
+        let d = d_lo.min(d_hi);
+        if d == u32::MAX {
+            return false;
+        }
+        let mut below = lo;
+        if d_lo == d {
+            while below > 0 && group[below - 1].0 == len_e - d {
+                below -= 1;
+            }
+        }
+        let mut above = hi;
+        if d_hi == d {
+            while above < group.len() && group[above].0 == len_e + d {
+                above += 1;
+            }
+        }
+        (self.i_start, self.i, self.i_end) = (below, below, lo);
+        (self.j, self.j_end) = (hi, above);
+        true
+    }
+}
+
+impl Iterator for Responses<'_> {
+    type Item = FactorId;
+
+    fn next(&mut self) -> Option<FactorId> {
+        if let Some(m) = self.lead.take() {
+            return Some(m);
+        }
+        loop {
+            let shorter = self.i < self.i_end;
+            let longer = self.j < self.j_end;
+            let r = if shorter && (!longer || self.group[self.i].1 < self.group[self.j].1) {
+                self.i += 1;
+                self.group[self.i - 1].1
+            } else if longer {
+                self.j += 1;
+                self.group[self.j - 1].1
+            } else if self.advance() {
+                continue;
+            } else {
+                return None;
+            };
+            if Some(FactorId(r)) != self.mirror {
+                return Some(FactorId(r));
+            }
         }
     }
 }
@@ -666,8 +812,8 @@ impl EfSolver {
     }
 
     /// Response search. With a guide and a real `element`, candidates are
-    /// exactly the seed-compatible list (mirror first, then length
-    /// proximity); per-state consistency is the delta check (the list
+    /// exactly the seed-compatible responses (mirror first, then length
+    /// proximity); per-state consistency is the delta check (the guide
     /// already certifies compatibility with the seeding, the state was
     /// reachable hence consistent, so only conditions touching the played
     /// pairs remain). Without a guide (⊥ moves, oversized games), the
@@ -683,8 +829,7 @@ impl EfSolver {
     ) -> Option<FactorId> {
         debug_assert!(k >= 1);
         if let (Some(g), false) = (guide, element.is_bottom()) {
-            let compat: &[FactorId] = g.compat(side, element);
-            for &response in compat {
+            for response in g.responses(side, element) {
                 let pair = self.game.as_ab_pair(side, element, response);
                 if !state.is_empty()
                     && !consistent_extension_delta(
@@ -752,7 +897,7 @@ impl EfSolver {
         element: FactorId,
     ) -> Vec<FactorId> {
         if let (Some(g), false) = (guide, element.is_bottom()) {
-            let mut v = g.compat(side, element).to_vec();
+            let mut v: Vec<FactorId> = g.responses(side, element).collect();
             v.push(FactorId::BOTTOM);
             return v;
         }
@@ -898,6 +1043,8 @@ pub fn equivalent(w: &str, v: &str, k: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_logic::{BackendKind, FactorStructure};
+    use fc_words::{Alphabet, Word};
 
     #[test]
     fn identical_words_are_equivalent_at_any_feasible_rank() {
@@ -1098,5 +1245,108 @@ mod tests {
         sum.absorb(&b);
         assert_eq!(sum.table_hits, a.table_hits + b.table_hits);
         assert_eq!(sum.table_misses, a.table_misses + b.table_misses);
+    }
+
+    /// The pairwise construction of the guide lists: every response `r`
+    /// with `consistent_seeded(&[], (e, r))`, sorted by the key
+    /// `(≠ mirror, |Δlen|, id)`.
+    fn pairwise_lists(game: &GamePair, side: Side) -> Vec<Vec<FactorId>> {
+        let (own, other) = (game.structure(side), game.structure(side.other()));
+        own.universe()
+            .map(|e| {
+                let mirror = game.mirror(side, e);
+                let le = own.len_of(e);
+                let mut list: Vec<FactorId> = other
+                    .universe()
+                    .filter(|&r| game.consistent_seeded(&[], game.as_ab_pair(side, e, r)))
+                    .collect();
+                list.sort_by_key(|&r| (Some(r) != mirror, other.len_of(r).abs_diff(le), r.0));
+                list
+            })
+            .collect()
+    }
+
+    fn assert_guide_matches_pairwise(game: &GamePair) {
+        let guide = Guide::build(game).expect("game under the guide cap");
+        let name = format!("{} vs {}", game.a.word(), game.b.word());
+        for side in [Side::A, Side::B] {
+            let lists = pairwise_lists(game, side);
+            for (e, list) in lists.iter().enumerate() {
+                let e = FactorId(e as u32);
+                assert_eq!(
+                    &guide.responses(side, e).collect::<Vec<_>>(),
+                    list,
+                    "{name}: {side:?} {e:?}"
+                );
+            }
+            let mut order: Vec<FactorId> = (0..lists.len() as u32).map(FactorId).collect();
+            order.sort_by_key(|&e| (lists[e.0 as usize].len(), e.0));
+            assert_eq!(
+                guide.order(side),
+                order.as_slice(),
+                "{name}: {side:?} order"
+            );
+        }
+    }
+
+    #[test]
+    fn guide_matches_pairwise_definition() {
+        // Every pair of Σ^{≤4}, Σ = {a, b}.
+        let ab = Alphabet::ab();
+        let words: Vec<Word> = ab.words_up_to(4).collect();
+        for w in &words {
+            for v in &words {
+                assert_guide_matches_pairwise(&GamePair::new(w.clone(), v.clone(), &ab));
+            }
+        }
+        // Σ = {a, b, c} with c absent from both words: (⊥, ⊥) constant
+        // pairs. And c in one word only: an inconsistent seeding still
+        // gets exact lists.
+        let abc = Alphabet::abc();
+        for (w, v) in [
+            ("abaab", "aabab"),
+            ("abba", "baab"),
+            ("", "ab"),
+            ("abc", "ab"),
+            ("acbca", "abcab"),
+        ] {
+            assert_guide_matches_pairwise(&GamePair::new(w, v, &abc));
+        }
+        // Unary words.
+        let unary = Alphabet::unary();
+        for p in 0..=9usize {
+            for q in [0, 1, 3, 7, 12] {
+                assert_guide_matches_pairwise(&GamePair::new("a".repeat(p), "a".repeat(q), &unary));
+            }
+        }
+        // A seeding that pairs a with b: a mirror can be incompatible
+        // while its group is not empty.
+        let (a, b) = (
+            Arc::new(FactorStructure::new(Word::from("abaab"), &ab)),
+            Arc::new(FactorStructure::new(Word::from("babba"), &ab)),
+        );
+        let swapped = vec![
+            (a.constant(b'a'), b.constant(b'b')),
+            (a.epsilon(), b.epsilon()),
+        ];
+        assert_guide_matches_pairwise(&GamePair::from_parts(a, b, swapped));
+        // The succinct backend (> 64 letters), whose ids are not ordered
+        // by length: a Thue–Morse prefix against a dense partner.
+        let thue_morse = |n: u32| -> Word {
+            let w: String = (0..n)
+                .map(|i| if i.count_ones() % 2 == 0 { 'a' } else { 'b' })
+                .collect();
+            Word::from(w.as_str())
+        };
+        let long = FactorStructure::with_backend(thue_morse(66), &ab, BackendKind::Succinct);
+        let short = FactorStructure::new(thue_morse(8), &ab);
+        let constant_pairs = long
+            .constants_vector()
+            .into_iter()
+            .zip(short.constants_vector())
+            .collect();
+        let game = GamePair::from_parts(Arc::new(long), Arc::new(short), constant_pairs);
+        assert_eq!(game.a.backend_kind(), BackendKind::Succinct);
+        assert_guide_matches_pairwise(&game);
     }
 }

@@ -15,8 +15,8 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
-echo "==> verdict-cascade suites (fc-games lib + batch/table differentials, fc-serve engine + concurrency; release)"
-cargo test -q --offline --release -p fc-games --lib --test batch_diff --test table_diff
+echo "==> verdict-cascade suites (fc-games lib + batch/table/solver-vs-reference differentials + proptests, fc-serve engine + concurrency; release)"
+cargo test -q --offline --release -p fc-games --lib --test batch_diff --test table_diff --test differential --test prop
 cargo test -q --offline --release -p fc-serve
 
 echo "==> planner suites (fc-logic lib + plan_diff differential + FC[REG] proptests; release)"
