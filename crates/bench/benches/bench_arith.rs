@@ -1,8 +1,8 @@
 //! P10 — the semilinear arithmetic tier: O(1) unary/periodic ≡_k
 //! verdicts vs the exact solver, table build costs, and the arith-tier
 //! ablation on the E03 unary scan. The ≥100× unary-verdict acceptance
-//! bound of the arith-tier PR is measured here and snapshotted into
-//! BENCH_PR9.json by `scripts/bench_snapshot.sh`.
+//! bound of the arith tier is measured here (its figures are recorded in
+//! the frozen BENCH_PR9.json).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fc_games::arith::{unary_class_table, ArithOracle};

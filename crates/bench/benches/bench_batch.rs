@@ -1,7 +1,7 @@
 //! P9 — the bulk ≡_k engine: batch classify vs the naive per-pair loop,
 //! fingerprint ablation, and the parallel pair grid. The ≥5× acceptance
-//! bound of the batch-engine PR is measured here and snapshotted into
-//! BENCH_PR5.json by `scripts/bench_snapshot.sh`.
+//! bound of the batch engine is measured here (its figures are recorded
+//! in the frozen BENCH_PR5.json).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fc_games::batch::{BatchConfig, BatchSolver, StructureArena};

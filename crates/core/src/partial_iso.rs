@@ -140,6 +140,10 @@ pub fn consistent_extension_seeded(
 /// a fixed stride of `⌈bits / 64⌉` words, where a seeding of `n` elements
 /// gives `n + (n+1)² + n(n+1) + n²` bits. Cost: that many probes per
 /// element, through the monomorphized [`ConcatOracle`].
+///
+/// ⊥ has a row too, after the universe's: its concat bits are all false
+/// (every ⊥ argument fails `R∘`) and it equals only the seeding's ⊥s, so
+/// `(x, ⊥)` and `(⊥, y)` are decided by the same type equality.
 pub(crate) struct SeedTypes {
     stride: usize,
     words: Vec<u64>,
@@ -160,9 +164,13 @@ impl SeedTypes {
         let n = seeding.len();
         let bits = n + (n + 1) * (n + 1) + n * (n + 1) + n * n;
         let stride = bits.div_ceil(64);
-        let mut words = vec![0u64; stride * universe_len];
+        let mut words = vec![0u64; stride * (universe_len + 1)];
         for (e, row) in words.chunks_exact_mut(stride).enumerate() {
-            let x = FactorId(e as u32);
+            let x = if e == universe_len {
+                FactorId::BOTTOM
+            } else {
+                FactorId(e as u32)
+            };
             let ext = |i: usize| if i < n { seeding[i] } else { x };
             let mut bit = 0usize;
             let mut push = |holds: bool| {
@@ -191,15 +199,21 @@ impl SeedTypes {
         SeedTypes { stride, words }
     }
 
-    /// Number of elements (the structure's universe size).
+    /// Number of real elements (the structure's universe size; ⊥ not
+    /// counted).
     pub(crate) fn len(&self) -> usize {
-        self.words.len() / self.stride
+        self.words.len() / self.stride - 1
     }
 
-    /// The seed type of element `x` (a real element, not ⊥).
+    /// The seed type of element `x` (⊥ included).
     #[inline]
     pub(crate) fn get(&self, x: FactorId) -> &[u64] {
-        let at = x.0 as usize * self.stride;
+        let row = if x.is_bottom() {
+            self.len()
+        } else {
+            x.0 as usize
+        };
+        let at = row * self.stride;
         &self.words[at..at + self.stride]
     }
 }

@@ -28,12 +28,13 @@
 //!   skipped outright by a monotonicity argument), and identical-word
 //!   subgames are accepted immediately via the identity strategy;
 //! - **guided move ordering** (§9) — a per-game [`Guide`] groups each
-//!   side's elements by exact *seed type*, so every element's
-//!   *seed-compatible* responses (those consistent with the constant
-//!   seeding alone; by monotonicity any other response is inconsistent
-//!   in every reachable state) are one group of the other side. Response
-//!   searches walk only that group — mirror first, then by factor-length
-//!   proximity — and per-state consistency reduces to the delta check
+//!   side's elements, ⊥ included, by exact *seed type*, so every
+//!   element's *seed-compatible* responses (those consistent with the
+//!   constant seeding alone; by monotonicity any other response is
+//!   inconsistent in every reachable state) are one group of the other
+//!   side. Every Duplicator response of the search comes from that group
+//!   — mirror first, then by factor-length proximity, ⊥ last — and
+//!   per-state consistency reduces to the delta check
 //!   [`crate::partial_iso::consistent_extension_delta`]. Spoiler moves
 //!   are ordered by ascending compatible-response count, so profile-
 //!   disagreeing elements (zero compatible responses — exactly the moves
@@ -54,7 +55,7 @@
 use crate::arena::{GamePair, Side};
 use crate::partial_iso::{consistent_extension_delta, pack_pair, unpack_pair, Pair, SeedTypes};
 use crate::ttable::{TransTable, DEFAULT_TABLE_CAPACITY};
-use fc_logic::FactorId;
+use fc_logic::{FactorId, FactorStructure};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -101,9 +102,10 @@ impl SolverStats {
 /// Definition 3.1: its conditions quantify universally over the chosen
 /// pairs, so a pair inconsistent with a *subset* of a state (here: the
 /// seeding, a subset of every state) is inconsistent with the state
-/// itself. Responses come mirror-first, then by factor-length proximity
-/// (ties by id) — the replay/identity heuristic that makes confirmations
-/// close on the first candidate almost always.
+/// itself. ⊥ is an element like any other here, as a move and as a
+/// response. Responses come mirror-first, then by factor-length
+/// proximity (ties by id), ⊥ last — the replay/identity heuristic that
+/// makes confirmations close on the first candidate almost always.
 ///
 /// `order` sorts each universe by ascending compatible-response count:
 /// an element with *no* compatible response is precisely one whose seed
@@ -118,12 +120,15 @@ struct Guide {
 /// One side's half of a [`Guide`]: how its elements find their responses
 /// among the other side's elements.
 struct GuideSide {
-    /// The other side's elements as `(len, id)`, sorted by exact seed
-    /// type, then length, then id: each type's group is one run.
+    /// The other side's elements and ⊥ as `(len, id)` (⊥'s length is
+    /// [`BOTTOM_LEN`]), sorted by exact seed type, then length, then id:
+    /// each type's group is one run, ⊥ last in its group.
     members: Box<[(u32, u32)]>,
-    /// Per element of this side.
+    /// Per element of this side, then ⊥'s.
     entries: Vec<GuideEntry>,
-    /// This side's elements by ascending response count, ties by id.
+    /// This side's real elements by ascending response count, ties by
+    /// id (⊥, whose response in a constants-vector seeding is only ⊥, is
+    /// played last by [`Guide::moves`]).
     order: Box<[FactorId]>,
 }
 
@@ -133,17 +138,25 @@ struct GuideEntry {
     /// (empty: no compatible response).
     start: u32,
     end: u32,
-    /// The element's factor length.
+    /// The element's length key ([`len_key`]).
     len: u32,
     /// The element's mirror, when it is compatible.
     mirror: Option<FactorId>,
 }
 
-/// Games above this universe product fall back to the unguided scan. The
-/// cap was sized for guides that materialized one list entry per
-/// compatible pair; the guide is linear in the universes now, but lifting
-/// the cap would change the search order of the games above it.
-const GUIDE_PAIR_CAP: usize = 1 << 22;
+/// ⊥'s length key: above every factor length, so ⊥ sorts last in its
+/// group and is the farthest response of every real element, yet below
+/// the `u32::MAX` that [`Responses::advance`] reads as "no run left".
+const BOTTOM_LEN: u32 = u32::MAX - 1;
+
+/// The length key of `x` in `s`: its factor length, or [`BOTTOM_LEN`].
+fn len_key(s: &FactorStructure, x: FactorId) -> u32 {
+    if x.is_bottom() {
+        BOTTOM_LEN
+    } else {
+        s.len_of(x) as u32
+    }
+}
 
 impl Guide {
     /// Builds both halves from exact seed types ([`SeedTypes`]): `(x, y)`
@@ -151,20 +164,15 @@ impl Guide {
     /// responses are the other side's group of its type. Cost:
     /// O((|U_A| + |U_B|)·n²) probes for an `n`-pair seeding and one sort
     /// per side; the responses are walked on demand.
-    fn build(game: &GamePair) -> Option<Guide> {
-        let na = game.a.universe_len();
-        let nb = game.b.universe_len();
-        if na.saturating_mul(nb) > GUIDE_PAIR_CAP {
-            return None;
-        }
+    fn build(game: &GamePair) -> Guide {
         let seeding_a: Vec<FactorId> = game.constant_pairs.iter().map(|p| p.0).collect();
         let seeding_b: Vec<FactorId> = game.constant_pairs.iter().map(|p| p.1).collect();
         let types_a = SeedTypes::of(&game.a, &seeding_a);
         let types_b = SeedTypes::of(&game.b, &seeding_b);
-        Some(Guide {
+        Guide {
             a: GuideSide::build(game, Side::A, &types_a, &types_b),
             b: GuideSide::build(game, Side::B, &types_b, &types_a),
-        })
+        }
     }
 
     fn side(&self, side: Side) -> &GuideSide {
@@ -174,17 +182,25 @@ impl Guide {
         }
     }
 
-    /// The seed-compatible responses to `element` (a real element of
-    /// `side`), in search order.
+    /// The seed-compatible responses to `element` (an element of `side`
+    /// or ⊥), in search order.
     fn responses(&self, side: Side, element: FactorId) -> Responses<'_> {
         let half = self.side(side);
-        let entry = half.entries[element.0 as usize];
+        let at = if element.is_bottom() {
+            half.entries.len() - 1
+        } else {
+            element.0 as usize
+        };
+        let entry = half.entries[at];
         let group = &half.members[entry.start as usize..entry.end as usize];
         Responses::new(group, entry.len, entry.mirror)
     }
 
-    fn order(&self, side: Side) -> &[FactorId] {
-        &self.side(side).order
+    /// The Spoiler moves on `side`: the guided order, then ⊥ (its forced
+    /// (⊥, ⊥) response never refutes anything).
+    fn moves(&self, side: Side) -> impl Iterator<Item = FactorId> + '_ {
+        let order = self.side(side).order.iter().copied();
+        order.chain(std::iter::once(FactorId::BOTTOM))
     }
 }
 
@@ -195,17 +211,20 @@ impl GuideSide {
         let own_s = game.structure(side);
         let other_s = game.structure(side.other());
         let ty = |r: u32| other.get(FactorId(r));
-        let mut members: Vec<(u32, u32)> = (0..other.len() as u32)
-            .map(|r| (other_s.len_of(FactorId(r)) as u32, r))
+        let mut members: Vec<(u32, u32)> = other_s
+            .universe()
+            .chain([FactorId::BOTTOM])
+            .map(|r| (len_key(other_s, r), r.0))
             .collect();
         members.sort_unstable_by(|&x, &y| ty(x.1).cmp(ty(y.1)).then(x.cmp(&y)));
         // The first member of each group, for the lookups below.
         let heads: Vec<usize> = (0..members.len())
             .filter(|&m| m == 0 || ty(members[m - 1].1) != ty(members[m].1))
             .collect();
-        let entries: Vec<GuideEntry> = (0..own.len() as u32)
+        let entries: Vec<GuideEntry> = own_s
+            .universe()
+            .chain([FactorId::BOTTOM])
             .map(|e| {
-                let e = FactorId(e);
                 let own_ty = own.get(e);
                 let (start, end) = match heads.binary_search_by(|&h| ty(members[h].1).cmp(own_ty)) {
                     Ok(g) => (heads[g], heads.get(g + 1).copied().unwrap_or(members.len())),
@@ -214,12 +233,12 @@ impl GuideSide {
                 GuideEntry {
                     start: start as u32,
                     end: end as u32,
-                    len: own_s.len_of(e) as u32,
+                    len: len_key(own_s, e),
                     mirror: game.mirror(side, e).filter(|&m| other.get(m) == own_ty),
                 }
             })
             .collect();
-        let mut order: Vec<FactorId> = (0..entries.len() as u32).map(FactorId).collect();
+        let mut order: Vec<FactorId> = own_s.universe().collect();
         order.sort_by_key(|&e| {
             let entry = &entries[e.0 as usize];
             (entry.end - entry.start, e.0)
@@ -353,9 +372,8 @@ pub struct EfSolver {
     /// backend-specific, so states from different backends must never
     /// alias).
     game_fp: u64,
-    /// Guided-search tables, built lazily on first search; `None` inside
-    /// the `Option` means "build attempted, game too large".
-    guide: Option<Option<Arc<Guide>>>,
+    /// Guided-search tables, built on first search (`None` until then).
+    guide: Option<Arc<Guide>>,
 }
 
 /// One step of a Spoiler winning line (for traces and reports).
@@ -502,7 +520,7 @@ impl EfSolver {
         // sequential search).
         let mut moves: Vec<(Side, FactorId)> = Vec::new();
         for side in [Side::A, Side::B] {
-            for element in self.ordered_moves(guide.as_deref(), side) {
+            for element in guide.moves(side) {
                 if self.is_pinned(side, &[], element) {
                     self.stats.pruned_moves += 1;
                 } else {
@@ -518,8 +536,7 @@ impl EfSolver {
         }
         // Two-ply job expansion: one job per (move, response candidate).
         // At the root the state *is* the constant seeding, so the
-        // candidate lists (seed-compatible responses plus ⊥) are exactly
-        // the consistent-response space.
+        // seed-compatible responses are exactly the consistent ones.
         struct MoveCell {
             satisfied: AtomicBool,
             remaining: AtomicU32,
@@ -527,7 +544,7 @@ impl EfSolver {
         let mut jobs: Vec<(u32, FactorId)> = Vec::new();
         let mut cells: Vec<MoveCell> = Vec::with_capacity(moves.len());
         for (mi, &(side, element)) in moves.iter().enumerate() {
-            let candidates = self.root_candidates(guide.as_deref(), side, element);
+            let candidates: Vec<FactorId> = guide.responses(side, element).collect();
             if candidates.is_empty() {
                 // No response can ever extend the seeding: Spoiler wins
                 // by playing this element immediately.
@@ -549,7 +566,7 @@ impl EfSolver {
                 .map(|_| {
                     let game = self.game.clone();
                     let table = Arc::clone(&table);
-                    let guide = guide.clone();
+                    let guide = Arc::clone(&guide);
                     let (jobs, moves, cells) = (&jobs, &moves, &cells);
                     let (flag, cursor) = (&spoiler_won, &cursor);
                     scope.spawn(move || {
@@ -569,8 +586,7 @@ impl EfSolver {
                             }
                             let (side, element) = moves[mi as usize];
                             let pair = shard.game.as_ab_pair(side, element, response);
-                            let win = shard.game.consistent_seeded(&[], pair)
-                                && (k == 1 || shard.duplicator_wins(vec![pack_pair(pair)], k - 1));
+                            let win = k == 1 || shard.duplicator_wins(vec![pack_pair(pair)], k - 1);
                             if win {
                                 cell.satisfied.store(true, Ordering::Relaxed);
                             } else if cell.remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
@@ -631,13 +647,13 @@ impl EfSolver {
         played
     }
 
-    /// The guided-search tables, built on first demand (`None` when the
-    /// universe product exceeds [`GUIDE_PAIR_CAP`]).
-    fn ensure_guide(&mut self) -> Option<Arc<Guide>> {
-        if self.guide.is_none() {
-            self.guide = Some(Guide::build(&self.game).map(Arc::new));
-        }
-        self.guide.as_ref().unwrap().clone()
+    /// The guided-search tables, built on first demand.
+    fn ensure_guide(&mut self) -> Arc<Guide> {
+        let game = &self.game;
+        Arc::clone(
+            self.guide
+                .get_or_insert_with(|| Arc::new(Guide::build(game))),
+        )
     }
 
     /// Duplicator wins the `k`-round game continued from the packed,
@@ -708,22 +724,6 @@ impl EfSolver {
         }
     }
 
-    /// The Spoiler move order for one side: the guided order (ascending
-    /// compatible-response count — profile-disagreeing elements first)
-    /// when a guide exists, plain universe order otherwise; ⊥ last in
-    /// both (its forced (⊥, ⊥) response never refutes anything).
-    fn ordered_moves(&self, guide: Option<&Guide>, side: Side) -> Vec<FactorId> {
-        let mut moves: Vec<FactorId> = match guide {
-            Some(g) => g.order(side).to_vec(),
-            None => {
-                let n = self.game.structure(side).universe_len() as u32;
-                (0..n).map(FactorId).collect()
-            }
-        };
-        moves.push(FactorId::BOTTOM);
-        moves
-    }
-
     /// The ∀-Spoiler layer: `true` iff every Spoiler move admits a winning
     /// Duplicator response.
     fn search_spoiler_moves(&mut self, state: &[u64], k: u32) -> bool {
@@ -731,7 +731,7 @@ impl EfSolver {
         let mut had_replay = false;
         let mut had_fresh = false;
         for side in [Side::A, Side::B] {
-            for element in self.ordered_moves(guide.as_deref(), side) {
+            for element in guide.moves(side) {
                 if self.is_pinned(side, state, element) {
                     // Replay pruning. If `element` is already pinned by a
                     // pair (element, r₀) of the state (or the constant
@@ -748,7 +748,7 @@ impl EfSolver {
                 }
                 had_fresh = true;
                 if self
-                    .guided_response(guide.as_deref(), state, side, element, k)
+                    .guided_response(&guide, state, side, element, k)
                     .is_none()
                 {
                     return false;
@@ -798,8 +798,7 @@ impl EfSolver {
         self.best_response_packed(&played, side, element, k)
     }
 
-    /// Core response search over a packed state, through the guide when
-    /// one exists.
+    /// Core response search over a packed state, through the guide.
     fn best_response_packed(
         &mut self,
         state: &[u64],
@@ -808,130 +807,45 @@ impl EfSolver {
         k: u32,
     ) -> Option<FactorId> {
         let guide = self.ensure_guide();
-        self.guided_response(guide.as_deref(), state, side, element, k)
+        self.guided_response(&guide, state, side, element, k)
     }
 
-    /// Response search. With a guide and a real `element`, candidates are
-    /// exactly the seed-compatible responses (mirror first, then length
-    /// proximity); per-state consistency is the delta check (the guide
-    /// already certifies compatibility with the seeding, the state was
-    /// reachable hence consistent, so only conditions touching the played
-    /// pairs remain). Without a guide (⊥ moves, oversized games), the
-    /// legacy scan: the mirrored element first, then the rest of the
-    /// opposite universe, then ⊥.
+    /// Response search: the candidates are exactly the seed-compatible
+    /// responses, ⊥ included (mirror first, then length proximity, ⊥
+    /// last), for a real `element` and for ⊥ alike. Per-state consistency
+    /// is the delta check: the guide already certifies compatibility with
+    /// the seeding, the state was reachable hence consistent, so only
+    /// conditions touching the played pairs remain.
     fn guided_response(
         &mut self,
-        guide: Option<&Guide>,
+        guide: &Guide,
         state: &[u64],
         side: Side,
         element: FactorId,
         k: u32,
     ) -> Option<FactorId> {
         debug_assert!(k >= 1);
-        if let (Some(g), false) = (guide, element.is_bottom()) {
-            for response in g.responses(side, element) {
-                let pair = self.game.as_ab_pair(side, element, response);
-                if !state.is_empty()
-                    && !consistent_extension_delta(
-                        &self.game.a,
-                        &self.game.b,
-                        &self.game.constant_pairs,
-                        state,
-                        pair,
-                    )
-                {
-                    continue;
-                }
-                // With one round left, a consistent extension is already a
-                // win (the 0-round subgame is a Duplicator win by
-                // definition): skip the allocation and the recursion.
-                if k == 1 {
-                    return Some(response);
-                }
-                if self.duplicator_wins(extended(state, pack_pair(pair)), k - 1) {
-                    return Some(response);
-                }
-            }
-            // ⊥ as response to a real element is never consistent with the
-            // ε constant pair, but keep it for completeness (and for
-            // exotic seedings built via `GamePair::from_parts`).
-            if self.try_response(state, side, element, FactorId::BOTTOM, k) {
-                return Some(FactorId::BOTTOM);
-            }
-            return None;
-        }
-        let mirror = self.game.mirror(side, element);
-        if let Some(m) = mirror {
-            if self.try_response(state, side, element, m, k) {
-                return Some(m);
-            }
-        }
-        let n = self.game.structure(side.other()).universe_len() as u32;
-        for raw in 0..n {
-            let response = FactorId(raw);
-            if Some(response) == mirror {
+        for response in guide.responses(side, element) {
+            let pair = self.game.as_ab_pair(side, element, response);
+            if !state.is_empty()
+                && !consistent_extension_delta(
+                    &self.game.a,
+                    &self.game.b,
+                    &self.game.constant_pairs,
+                    state,
+                    pair,
+                )
+            {
                 continue;
             }
-            if self.try_response(state, side, element, response, k) {
+            // With one round left, a consistent extension is already a
+            // win (the 0-round subgame is a Duplicator win by
+            // definition): skip the allocation and the recursion.
+            if k == 1 || self.duplicator_wins(extended(state, pack_pair(pair)), k - 1) {
                 return Some(response);
             }
         }
-        if !element.is_bottom() && mirror != Some(FactorId::BOTTOM) {
-            // ⊥ as response to a non-⊥ element is never consistent with the
-            // ε constant pair, but keep it for completeness.
-            if self.try_response(state, side, element, FactorId::BOTTOM, k) {
-                return Some(FactorId::BOTTOM);
-            }
-        }
         None
-    }
-
-    /// Root-level response candidates for the parallel two-ply expansion.
-    /// At the empty state, seed compatibility *is* consistency, so the
-    /// guided list plus ⊥ covers every response that could possibly win;
-    /// without a guide, the legacy order (mirror, rest, ⊥).
-    fn root_candidates(
-        &self,
-        guide: Option<&Guide>,
-        side: Side,
-        element: FactorId,
-    ) -> Vec<FactorId> {
-        if let (Some(g), false) = (guide, element.is_bottom()) {
-            let mut v: Vec<FactorId> = g.responses(side, element).collect();
-            v.push(FactorId::BOTTOM);
-            return v;
-        }
-        let mirror = self.game.mirror(side, element);
-        let n = self.game.structure(side.other()).universe_len() as u32;
-        let mut v = Vec::with_capacity(n as usize + 2);
-        if let Some(m) = mirror {
-            v.push(m);
-        }
-        v.extend((0..n).map(FactorId).filter(|&r| Some(r) != mirror));
-        if !element.is_bottom() && mirror != Some(FactorId::BOTTOM) {
-            v.push(FactorId::BOTTOM);
-        }
-        v
-    }
-
-    /// Checks one candidate response: consistency of the extension, then
-    /// the recursive subgame.
-    fn try_response(
-        &mut self,
-        state: &[u64],
-        side: Side,
-        element: FactorId,
-        response: FactorId,
-        k: u32,
-    ) -> bool {
-        let new_pair = self.game.as_ab_pair(side, element, response);
-        if !self.game.consistent_seeded(state, new_pair) {
-            return false;
-        }
-        if k == 1 {
-            return true;
-        }
-        self.duplicator_wins(extended(state, pack_pair(new_pair)), k - 1)
     }
 
     /// Any consistent response (used to extend a Spoiler winning line even
@@ -1247,43 +1161,49 @@ mod tests {
         assert_eq!(sum.table_misses, a.table_misses + b.table_misses);
     }
 
-    /// The pairwise construction of the guide lists: every response `r`
-    /// with `consistent_seeded(&[], (e, r))`, sorted by the key
-    /// `(≠ mirror, |Δlen|, id)`.
+    /// The pairwise construction of the guide lists, ⊥ included on both
+    /// ends: for every `e ∈ U ∪ {⊥}`, every response `r ∈ U ∪ {⊥}` with
+    /// `consistent_seeded(&[], (e, r))`, sorted by the key
+    /// `(≠ mirror, |Δlen|, id)` (⊥'s length is [`BOTTOM_LEN`], so it
+    /// comes last in a real element's list).
     fn pairwise_lists(game: &GamePair, side: Side) -> Vec<Vec<FactorId>> {
         let (own, other) = (game.structure(side), game.structure(side.other()));
         own.universe()
+            .chain([FactorId::BOTTOM])
             .map(|e| {
                 let mirror = game.mirror(side, e);
-                let le = own.len_of(e);
+                let le = len_key(own, e);
                 let mut list: Vec<FactorId> = other
                     .universe()
+                    .chain([FactorId::BOTTOM])
                     .filter(|&r| game.consistent_seeded(&[], game.as_ab_pair(side, e, r)))
                     .collect();
-                list.sort_by_key(|&r| (Some(r) != mirror, other.len_of(r).abs_diff(le), r.0));
+                list.sort_by_key(|&r| (Some(r) != mirror, len_key(other, r).abs_diff(le), r.0));
                 list
             })
             .collect()
     }
 
     fn assert_guide_matches_pairwise(game: &GamePair) {
-        let guide = Guide::build(game).expect("game under the guide cap");
+        let guide = Guide::build(game);
         let name = format!("{} vs {}", game.a.word(), game.b.word());
         for side in [Side::A, Side::B] {
             let lists = pairwise_lists(game, side);
-            for (e, list) in lists.iter().enumerate() {
-                let e = FactorId(e as u32);
+            let elements = game.structure(side).universe().chain([FactorId::BOTTOM]);
+            for (e, list) in elements.zip(&lists) {
                 assert_eq!(
                     &guide.responses(side, e).collect::<Vec<_>>(),
                     list,
                     "{name}: {side:?} {e:?}"
                 );
             }
-            let mut order: Vec<FactorId> = (0..lists.len() as u32).map(FactorId).collect();
-            order.sort_by_key(|&e| (lists[e.0 as usize].len(), e.0));
+            let real = &lists[..lists.len() - 1];
+            let mut order: Vec<FactorId> = (0..real.len() as u32).map(FactorId).collect();
+            order.sort_by_key(|&e| (real[e.0 as usize].len(), e.0));
+            order.push(FactorId::BOTTOM);
             assert_eq!(
-                guide.order(side),
-                order.as_slice(),
+                guide.moves(side).collect::<Vec<_>>(),
+                order,
                 "{name}: {side:?} order"
             );
         }
@@ -1330,6 +1250,20 @@ mod tests {
             (a.epsilon(), b.epsilon()),
         ];
         assert_guide_matches_pairwise(&GamePair::from_parts(a, b, swapped));
+        // Seedings without the ε pair, where ⊥ has real compatible
+        // responses (and real elements have ⊥): the empty seeding, and
+        // {(a, a)} alone.
+        let small: Vec<Word> = ab.words_up_to(3).collect();
+        for w in &small {
+            for v in &small {
+                let a = Arc::new(FactorStructure::new(w.clone(), &ab));
+                let b = Arc::new(FactorStructure::new(v.clone(), &ab));
+                let aa = vec![(a.constant(b'a'), b.constant(b'a'))];
+                let empty = GamePair::from_parts(Arc::clone(&a), Arc::clone(&b), Vec::new());
+                assert_guide_matches_pairwise(&empty);
+                assert_guide_matches_pairwise(&GamePair::from_parts(a, b, aa));
+            }
+        }
         // The succinct backend (> 64 letters), whose ids are not ordered
         // by length: a Thue–Morse prefix against a dense partner.
         let thue_morse = |n: u32| -> Word {

@@ -4,7 +4,8 @@
 //! Θ(n²)), the dense backend stores every factor's bytes plus an m×m
 //! concat table — hopeless beyond |w| ≈ 10². This backend stores only the
 //! suffix automaton of `w` (≤ 2n−1 states, ≤ 3n−4 transitions, Blumer et
-//! al.) plus O(1) words of packed metadata per *state*, never per factor:
+//! al.; built by [`fc_words::FactorIndex`] and frozen here) plus O(1)
+//! words of packed metadata per *state*, never per factor:
 //!
 //! - **Ids without a table.** The strings of a state `s` are the suffixes
 //!   of its longest string with lengths in `(len(link(s)), len(s)]` —
@@ -38,7 +39,7 @@
 
 use super::packed::PackedVec;
 use super::{BackendKind, FactorBackend, FactorId};
-use fc_words::Word;
+use fc_words::{FactorIndex, Word};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -105,17 +106,6 @@ impl Clone for ConcatMemo {
     }
 }
 
-/// Mutable suffix-automaton state used only during construction; frozen
-/// into the packed arrays afterwards.
-struct BuildState {
-    len: u32,
-    link: i32,
-    /// End position of the creation occurrence for primary states
-    /// (`u32::MAX` for clones): the seed of the `min_end` propagation.
-    first_end: u32,
-    next: Vec<(u8, u32)>,
-}
-
 /// The succinct backend: O(n) states, factors addressed by id arithmetic.
 #[derive(Clone, Debug)]
 pub struct SuccinctBackend {
@@ -146,69 +136,15 @@ pub struct SuccinctBackend {
 }
 
 impl SuccinctBackend {
-    /// Builds the automaton and freezes it into packed arrays. O(n·|Σ|).
+    /// Builds the automaton ([`FactorIndex`]) and freezes it into packed
+    /// arrays. O(n·|Σ|).
     ///
     /// # Panics
     /// Panics if `w` has ≥ 2³² − 1 distinct factors (the `FactorId` space;
     /// reached only by high-entropy words of length ≳ 10⁵).
     pub fn build(word: Word) -> SuccinctBackend {
-        let w = word.bytes();
-        let mut st: Vec<BuildState> = Vec::with_capacity(2 * w.len() + 1);
-        st.push(BuildState {
-            len: 0,
-            link: -1,
-            first_end: 0, // ε occurs ending at position 0
-            next: Vec::new(),
-        });
-        let mut last = 0usize;
-        for (pos, &ch) in w.iter().enumerate() {
-            let cur = st.len();
-            st.push(BuildState {
-                len: st[last].len + 1,
-                link: -1,
-                first_end: (pos + 1) as u32,
-                next: Vec::new(),
-            });
-            let mut p = last as i32;
-            loop {
-                if p < 0 {
-                    st[cur].link = 0;
-                    break;
-                }
-                let pu = p as usize;
-                if let Some(&(_, q)) = st[pu].next.iter().find(|&&(c, _)| c == ch) {
-                    let q = q as usize;
-                    if st[q].len == st[pu].len + 1 {
-                        st[cur].link = q as i32;
-                    } else {
-                        // Split: clone q at length len(p)+1.
-                        let clone = st.len();
-                        st.push(BuildState {
-                            len: st[pu].len + 1,
-                            link: st[q].link,
-                            first_end: u32::MAX,
-                            next: st[q].next.clone(),
-                        });
-                        st[q].link = clone as i32;
-                        st[cur].link = clone as i32;
-                        let mut r = p;
-                        while r >= 0 {
-                            let ru = r as usize;
-                            match st[ru].next.iter_mut().find(|t| t.0 == ch) {
-                                Some(t) if t.1 as usize == q => t.1 = clone as u32,
-                                _ => break,
-                            }
-                            r = st[ru].link;
-                        }
-                    }
-                    break;
-                }
-                st[pu].next.push((ch, cur as u32));
-                p = st[pu].link;
-            }
-            last = cur;
-        }
-
+        let index = FactorIndex::build(word.bytes());
+        let st = index.states();
         let n_states = st.len();
 
         // min(endpos) by propagation up the suffix-link tree: a class's
@@ -233,7 +169,7 @@ impl SuccinctBackend {
         // Id bases: class s covers lengths (len(link(s)), len(s)].
         let mut base_vals: Vec<u64> = Vec::with_capacity(n_states);
         let mut total = 0u64;
-        for s in &st {
+        for s in st {
             base_vals.push(total);
             let minlen = if s.link < 0 {
                 0
@@ -256,7 +192,7 @@ impl SuccinctBackend {
         // Suffix flags: the classes whose endpos contains n are exactly
         // the suffix-link chain of the last state.
         let mut suffix = vec![0u64; n_states.div_ceil(64)];
-        let mut t = last as i32;
+        let mut t = index.last() as i32;
         while t >= 0 {
             suffix[t as usize / 64] |= 1u64 << (t as usize % 64);
             t = st[t as usize].link;
@@ -268,7 +204,7 @@ impl SuccinctBackend {
         let mut trans_sym: Vec<u8> = Vec::with_capacity(n_trans);
         let mut dsts: Vec<u64> = Vec::with_capacity(n_trans);
         let mut acc = 0u64;
-        for s in &st {
+        for s in st {
             starts.push(acc);
             acc += s.next.len() as u64;
             for &(c, q) in &s.next {
@@ -514,7 +450,6 @@ impl FactorBackend for SuccinctBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_words::FactorIndex;
 
     fn sb(w: &str) -> SuccinctBackend {
         SuccinctBackend::build(Word::from(w))
@@ -524,7 +459,7 @@ mod tests {
     fn universe_counts_match_the_word_crate_automaton() {
         for w in ["", "a", "ab", "abaab", "aabbab", "abcacb", "aaaaaaa"] {
             let b = sb(w);
-            let expect = FactorIndex::build(w.as_bytes()).distinct_factors() + 1;
+            let expect = fc_words::factor_set(w.as_bytes()).len();
             assert_eq!(b.universe_len(), expect, "w={w}");
             assert_eq!(b.universe_len(), b.universe_len_recount(), "w={w}");
         }

@@ -55,9 +55,9 @@ fn succinct_backend_scales_to_ten_thousand_letters() {
     }
     // Tripwire for the suffix-automaton backend: building 𝔄_w for
     // |w| = 10⁴ and answering 10³ id_of probes must stay well under a
-    // second (the snapshot bench pins the tighter ~100 ms figure; this
-    // budget only has to catch an accidental return to Θ(m²) behaviour,
-    // which would blow it by orders of magnitude).
+    // second (perfbench's `structure.build_us_per_kletter` tracks the
+    // real figure; this budget only has to catch an accidental return to
+    // Θ(m²) behaviour, which would blow it by orders of magnitude).
     let build_budget = Duration::from_secs(2);
     let probe_budget = Duration::from_secs(1);
     let w = Word::from("ab").pow(5_000); // |w| = 10⁴

@@ -352,8 +352,8 @@ impl LoadgenSummary {
         }
     }
 
-    /// Flat JSON rendering (the shape `scripts/bench_snapshot.sh`
-    /// consumes). Per-op quantiles flatten to `serve_<op>_p50_us` /
+    /// Flat JSON rendering (the summary line `fc-loadgen` prints).
+    /// Per-op quantiles flatten to `serve_<op>_p50_us` /
     /// `serve_<op>_p99_us` keys.
     pub fn to_json(&self) -> Value {
         let us = |d: Duration| Value::Number(d.as_nanos() as f64 / 1e3);

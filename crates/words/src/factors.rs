@@ -12,10 +12,12 @@
 //! The suffix automaton is the classic online construction (Blumer et al.);
 //! its states correspond to equivalence classes of right extensions, and the
 //! number of distinct factors of `w` equals `Σ_v (len(v) − len(link(v)))`.
+//! It is the workspace's only one: fc-logic's succinct factor-structure
+//! backend freezes [`FactorIndex::states`] into packed arrays.
 
 use crate::search;
 use crate::word::Word;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// `true` iff `u ⊑ w` (u is a contiguous factor of w).
 ///
@@ -85,15 +87,33 @@ pub fn max_common_factor_len(u: &[u8], v: &[u8]) -> usize {
     best
 }
 
+/// One state of a [`FactorIndex`] automaton, as the online construction
+/// leaves it. Its class holds the suffixes of its longest string with
+/// lengths in `(len(link), len]`, all sharing one end-position set.
 #[derive(Clone, Debug)]
-struct SamState {
-    len: usize,
-    link: isize,
-    next: BTreeMap<u8, usize>,
+pub struct SamState {
+    /// Length of the longest string in the class.
+    pub len: u32,
+    /// Suffix link (`-1` for the root).
+    pub link: i32,
+    /// End position of the occurrence that created the state: `i + 1` for
+    /// the state added on reading `w[i]`, 0 for the root (ε ends at 0),
+    /// `u32::MAX` for clones. The minimum over a state's suffix-link
+    /// subtree is `min(endpos)`.
+    pub first_end: u32,
+    /// Outgoing transitions `(symbol, target)`, in insertion order.
+    pub next: Vec<(u8, u32)>,
+}
+
+impl SamState {
+    fn step(&self, c: u8) -> Option<u32> {
+        self.next.iter().find(|t| t.0 == c).map(|t| t.1)
+    }
 }
 
 /// A suffix automaton over a fixed word `w`: the minimal DFA of the set of
-/// suffixes of `w`, doubling as an index of all factors.
+/// suffixes of `w`, doubling as an index of all factors. States are
+/// numbered in creation order, root first.
 ///
 /// # Examples
 ///
@@ -108,73 +128,100 @@ struct SamState {
 #[derive(Clone, Debug)]
 pub struct FactorIndex {
     states: Vec<SamState>,
-    word_len: usize,
+    /// The state of `w` itself.
+    last: usize,
 }
 
 impl FactorIndex {
-    /// Builds the suffix automaton of `w` in O(|w|·log|Σ|).
+    /// Builds the suffix automaton of `w` in O(|w|·|Σ|).
+    ///
+    /// # Panics
+    /// Panics if `|w| ≥ 2³¹`: the ≤ 2|w| states are numbered in `u32`.
     pub fn build(w: &[u8]) -> Self {
-        let mut states = Vec::with_capacity(2 * w.len().max(1));
-        states.push(SamState {
+        assert!(w.len() < 1 << 31, "FactorIndex: |w| = {} ≥ 2³¹", w.len());
+        let mut st: Vec<SamState> = Vec::with_capacity(2 * w.len() + 1);
+        st.push(SamState {
             len: 0,
             link: -1,
-            next: BTreeMap::new(),
+            first_end: 0,
+            next: Vec::new(),
         });
         let mut last = 0usize;
-        for &c in w {
-            let cur = states.len();
-            states.push(SamState {
-                len: states[last].len + 1,
+        for (pos, &ch) in w.iter().enumerate() {
+            let cur = st.len();
+            st.push(SamState {
+                len: st[last].len + 1,
                 link: -1,
-                next: BTreeMap::new(),
+                first_end: (pos + 1) as u32,
+                next: Vec::new(),
             });
-            let mut p = last as isize;
-            while p >= 0 && !states[p as usize].next.contains_key(&c) {
-                states[p as usize].next.insert(c, cur);
-                p = states[p as usize].link;
-            }
-            if p < 0 {
-                states[cur].link = 0;
-            } else {
-                let q = states[p as usize].next[&c];
-                if states[p as usize].len + 1 == states[q].len {
-                    states[cur].link = q as isize;
-                } else {
-                    let clone = states.len();
-                    let cloned = SamState {
-                        len: states[p as usize].len + 1,
-                        link: states[q].link,
-                        next: states[q].next.clone(),
-                    };
-                    states.push(cloned);
-                    while p >= 0 && states[p as usize].next.get(&c) == Some(&q) {
-                        states[p as usize].next.insert(c, clone);
-                        p = states[p as usize].link;
-                    }
-                    states[q].link = clone as isize;
-                    states[cur].link = clone as isize;
+            let mut p = last as i32;
+            loop {
+                if p < 0 {
+                    st[cur].link = 0;
+                    break;
                 }
+                let pu = p as usize;
+                if let Some(q) = st[pu].step(ch) {
+                    let q = q as usize;
+                    if st[q].len == st[pu].len + 1 {
+                        st[cur].link = q as i32;
+                    } else {
+                        // Split: clone q at length len(p)+1.
+                        let clone = st.len();
+                        st.push(SamState {
+                            len: st[pu].len + 1,
+                            link: st[q].link,
+                            first_end: u32::MAX,
+                            next: st[q].next.clone(),
+                        });
+                        st[q].link = clone as i32;
+                        st[cur].link = clone as i32;
+                        let mut r = p;
+                        while r >= 0 {
+                            let ru = r as usize;
+                            match st[ru].next.iter_mut().find(|t| t.0 == ch) {
+                                Some(t) if t.1 as usize == q => t.1 = clone as u32,
+                                _ => break,
+                            }
+                            r = st[ru].link;
+                        }
+                    }
+                    break;
+                }
+                st[pu].next.push((ch, cur as u32));
+                p = st[pu].link;
             }
             last = cur;
         }
-        FactorIndex {
-            states,
-            word_len: w.len(),
-        }
+        FactorIndex { states: st, last }
+    }
+
+    /// The automaton's states, root first, in creation order.
+    #[inline]
+    pub fn states(&self) -> &[SamState] {
+        &self.states
+    }
+
+    /// The state of the whole word: its suffix-link chain is exactly the
+    /// classes of the suffixes of `w`.
+    #[inline]
+    pub fn last(&self) -> usize {
+        self.last
     }
 
     /// Length of the indexed word.
     #[inline]
     pub fn word_len(&self) -> usize {
-        self.word_len
+        self.states[self.last].len as usize
     }
 
     /// `O(|u|)` membership test: `u ⊑ w`?
     pub fn contains(&self, u: &[u8]) -> bool {
         let mut s = 0usize;
         for &c in u {
-            match self.states[s].next.get(&c) {
-                Some(&t) => s = t,
+            match self.states[s].step(c) {
+                Some(t) => s = t as usize,
                 None => return false,
             }
         }
@@ -186,7 +233,7 @@ impl FactorIndex {
         self.states
             .iter()
             .skip(1)
-            .map(|st| st.len - self.states[st.link as usize].len)
+            .map(|st| (st.len - self.states[st.link as usize].len) as usize)
             .sum()
     }
 
@@ -208,9 +255,9 @@ impl FactorIndex {
 
     fn dfs(&self, s: usize, path: &mut Vec<u8>, out: &mut Vec<Word>) {
         out.push(Word::from(path.as_slice()));
-        for (&c, &t) in &self.states[s].next {
+        for &(c, t) in &self.states[s].next {
             path.push(c);
-            self.dfs(t, path, out);
+            self.dfs(t as usize, path, out);
             path.pop();
         }
     }

@@ -15,6 +15,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> word substrate (fc-words lib + suffix-automaton/factor proptests + doc tests; release)"
+cargo test -q --offline --release -p fc-words
+
 echo "==> verdict-cascade suites (fc-games lib + batch/table/solver-vs-reference differentials + proptests, fc-serve engine + concurrency; release)"
 cargo test -q --offline --release -p fc-games --lib --test batch_diff --test table_diff --test differential --test prop
 cargo test -q --offline --release -p fc-serve

@@ -52,6 +52,18 @@ fn cases() -> Vec<Case> {
         (s("aaabbbbbb"), s("aaabbbbbbbb"), 2, false, 41, 0, 178),
         // A rank-1 confirmation: every first move has a compatible reply.
         (s("aaabaaab"), s("aaabaaaab"), 1, true, 1, 0, 6),
+        // Two random 72-letter words on the succinct backend, |U| = 2276 ×
+        // 2298 > 2²²: games this large are guided like any other, so this
+        // pins their search order too.
+        (
+            s("abababbbabbbbabbbaabbbbababaaaabbaaaaabababaaaaaaabbbbaaaaaaaabaaaaaaaab"),
+            s("aabaaabaabbbabbaaaaabbbbaaabbbbbbaabaaabbaaabbabbbaaaaaaabbbabaaaabbbbba"),
+            2,
+            false,
+            2,
+            0,
+            6,
+        ),
     ]
 }
 
