@@ -4,7 +4,6 @@
 //!
 //! - `bench_solver` (P1): exact ≡_k decision vs word length and rank —
 //!   the exponential baseline every strategy is measured against;
-//! - `bench_pow2` (P2): Lemma 3.6 witness search and class tables;
 //! - `bench_modelcheck` (P3): FC model checking, guarded vs naive
 //!   (the φ_fib ablation);
 //! - `bench_strategy` (P4): composed-strategy responses vs solver

@@ -23,22 +23,23 @@
 //!   pairs *without* entering the game, canonical-pair sharing through a
 //!   verdict memo and, on a table shared with an outer engine
 //!   ([`BatchSolver::share_table`]), the table's root entries (one tier
-//!   cascade, see [`BatchSolver`]), union-find class merging for
-//!   [`BatchSolver::classify`], and a work-stealing parallel pair grid
-//!   (`std::thread::scope`) with per-worker solver reuse
-//!   ([`EfSolver::rebind`]).
+//!   cascade, see [`BatchSolver`]) and union-find class merging for
+//!   [`BatchSolver::classify`].
 //!
-//! A batch without a shared table runs its sequential solves table-free
-//! and allocates a transposition table only for parallel solves, whose
-//! workers share subgames through it. Its root entries could answer
-//! nothing the exact canonical memo does not answer first.
+//! The batch is one sequential cascade. Its only parallelism is the inner
+//! two-ply search of one game ([`EfSolver::equivalent_par`], chosen by
+//! [`BatchConfig::solver_threads`]). `classify` needs no pair grid: ≡_k
+//! is an equivalence relation (Theorem 3.5), so a candidate's scan stops
+//! at the one representative that matches it.
 //!
-//! Every optimisation is semantically invisible: parallel output equals
-//! sequential output (at most one class representative can match a
-//! candidate, because representatives are pairwise inequivalent and ≡_k is
-//! transitive — Theorem 3.5), fingerprint refutations are debug-asserted
-//! against the exact solver, and the differential suite pins
-//! `classify == hintikka::classes_naive` on the exhaustive Σ^{≤4} window.
+//! Solves use the table shared through [`BatchSolver::share_table`], or
+//! none; a parallel search without one creates its own
+//! ([`EfSolver::equivalent_par`]).
+//!
+//! Every optimisation is semantically invisible: fingerprint refutations
+//! are debug-asserted against the exact solver, and the differential
+//! suite pins `classify == hintikka::classes_naive` on the exhaustive
+//! Σ^{≤4} window.
 //!
 //! All words in one arena share a single alphabet Σ, fixed at
 //! construction. Padding Σ with letters absent from both words of a pair
@@ -55,11 +56,11 @@ use crate::canon;
 use crate::fingerprint::{rank2_type_profile, Fingerprint, TYPE2_UNIVERSE_CAP};
 use crate::semilinear::fit_tail;
 use crate::solver::{EfSolver, SolverStats};
-use crate::ttable::{TransTable, TransTableStats, DEFAULT_TABLE_CAPACITY};
+use crate::ttable::{TransTable, TransTableStats};
 use fc_logic::FactorStructure;
 use fc_words::{primitive_root, Alphabet, Word};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -71,9 +72,9 @@ pub type WordId = usize;
 ///
 /// Interning records only the word and its primitive-root decomposition;
 /// the O(|w|²) structure is built on the first [`StructureArena::structure`]
-/// / [`StructureArena::fingerprint`] call (all `OnceLock`, so the arena
-/// stays shareable across the parallel grid workers). Pairs decided by the
-/// arithmetic tier therefore cost no structure at all.
+/// / [`StructureArena::fingerprint`] call (all `OnceLock`, so lookups take
+/// `&self`). Pairs decided by the arithmetic tier therefore cost no
+/// structure at all.
 pub struct StructureArena {
     sigma: Alphabet,
     /// Forced structure backend for every interned word, or `None` for the
@@ -318,23 +319,15 @@ impl std::fmt::Display for BatchStats {
 /// Tuning knobs for a [`BatchSolver`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Refute pairs by fingerprint before constructing a solver. Disabling
-    /// this never changes verdicts (the filter is sound); it exists for
-    /// the ablation benches.
-    pub use_fingerprints: bool,
-    /// Additionally consult the lazily-memoized rank-2 type profile
-    /// (requires `use_fingerprints`). Sound at every rank ≥ 2 and never
-    /// changes verdicts, but the O(|U|²) per-word pass only *pays* when
-    /// individual games are expensive relative to the window — the unary
-    /// scans and fooling searches enable it; small-word window classify
-    /// keeps it off because there the games are cheaper than the profile.
-    pub use_rank2_profiles: bool,
-    /// Universe-size cap for the rank-2 profile pass. The conservative
-    /// default [`TYPE2_UNIVERSE_CAP`] protects window classifies, but on
-    /// the fooling searches (E08/E09) the games the profile saves are so
-    /// expensive that the pass pays far beyond it — those sites raise the
-    /// cap to 512.
-    pub rank2_universe_cap: usize,
+    /// Consult the lazily-memoized rank-2 type profile of words whose
+    /// universe has at most this many elements; `None` turns the tier
+    /// off (the default). Sound at every rank ≥ 2 and never changes
+    /// verdicts, but the O(|U|²) per-word pass only *pays* when individual
+    /// games are expensive relative to the window: small-word window
+    /// classifies keep it off, the unary scans and periodic tables use
+    /// [`TYPE2_UNIVERSE_CAP`], and the fooling searches (E08/E09), whose
+    /// saved games are far dearer, use 512.
+    pub rank2_universe_cap: Option<usize>,
     /// Consult the arithmetic oracle ([`ArithOracle`]) before any
     /// structure or fingerprint exists: unary pairs `aᵖ` vs `a^q` (rank-3
     /// only from an already-warm table) and same-primitive-root pairs are
@@ -349,23 +342,16 @@ pub struct BatchConfig {
     /// --fast`, the serve warm paths). Already-built tables are consulted
     /// either way.
     pub arith_periodic: bool,
-    /// Threads for the *inner* per-pair solver: `1` = sequential search,
-    /// `0` = `equivalent_auto` (one worker per CPU). Grid-level
-    /// parallelism is chosen per call site instead (`*_par` methods).
+    /// Threads for the per-pair solver: `1` = sequential search, `0` =
+    /// `equivalent_auto` (one worker per CPU), `t` = `equivalent_par(k,
+    /// t)`. This is the batch's only parallelism.
     pub solver_threads: usize,
 }
-
-/// Slot budget of the table a batch without a shared one creates for its
-/// parallel solves. The table is bounded (generational eviction), so this
-/// is a memory ceiling, not a growth rate.
-const PRIVATE_TABLE_CAPACITY: usize = DEFAULT_TABLE_CAPACITY >> 2;
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
-            use_fingerprints: true,
-            use_rank2_profiles: false,
-            rank2_universe_cap: TYPE2_UNIVERSE_CAP,
+            rank2_universe_cap: None,
             use_arith: true,
             arith_periodic: false,
             solver_threads: 1,
@@ -393,16 +379,13 @@ pub struct BatchSolver {
     canon_verdicts: HashMap<(Box<[u8]>, u32), bool>,
     /// The transposition table shared with an outer engine (`fc serve`):
     /// probed at the canonical root before the exact search and fed by
-    /// every search, so verdicts outlive the batch.
+    /// every search, so verdicts outlive the batch. Without one, solves
+    /// attach no table: a batch-owned table's root entries would only
+    /// repeat `canon_verdicts` (same canonical key, same 26-letter cap,
+    /// probed after it), a search's own states are covered by its
+    /// solver's exact memo, and the game fingerprint keeps every other
+    /// pair's entries out of reach.
     shared_table: Option<Arc<TransTable>>,
-    /// Without a shared table, the table of this batch's parallel solves
-    /// (their workers share subgames through it), created on the first
-    /// one. Sequential solves run table-free: the table's root entries
-    /// would only repeat `canon_verdicts` (same canonical key, same
-    /// 26-letter cap, probed after it), a search's own states are covered
-    /// by its solver's exact memo, and the game fingerprint keeps every
-    /// other pair's entries out of reach.
-    own_table: OnceLock<Arc<TransTable>>,
     stats: BatchStats,
 }
 
@@ -432,7 +415,6 @@ impl BatchSolver {
             verdicts: HashMap::new(),
             canon_verdicts: HashMap::new(),
             shared_table: None,
-            own_table: OnceLock::new(),
             stats: BatchStats::default(),
         }
     }
@@ -446,23 +428,12 @@ impl BatchSolver {
     }
 
     /// The transposition table's own counters (hits, misses, inserts,
-    /// evictions, capacity); all zero for a batch with no shared table
-    /// until it runs a parallel solve.
+    /// evictions, capacity); all zero for a batch with no shared table.
     pub fn table_stats(&self) -> TransTableStats {
         self.shared_table
             .as_ref()
-            .or(self.own_table.get())
             .map(|t| t.stats())
             .unwrap_or_default()
-    }
-
-    /// The table for a parallel solve: the shared one, or the batch's own,
-    /// created on first use.
-    fn parallel_table(&self) -> &Arc<TransTable> {
-        self.shared_table.as_ref().unwrap_or_else(|| {
-            self.own_table
-                .get_or_init(|| Arc::new(TransTable::new(PRIVATE_TABLE_CAPACITY)))
-        })
     }
 
     /// The underlying arena.
@@ -492,7 +463,7 @@ impl BatchSolver {
     }
 
     /// [`BatchSolver::equivalent`] without the wall-clock bookkeeping —
-    /// the internal hot path shared by the grid drivers.
+    /// the internal hot path shared by the scan entry points.
     fn verdict(&mut self, i: WordId, j: WordId, k: u32) -> bool {
         if i == j {
             return true; // reflexivity (identical structure on both sides)
@@ -517,23 +488,20 @@ impl BatchSolver {
         if let Some(eq) = self.arith_verdict(i, j, k) {
             return Some((eq, Tier::Arith));
         }
-        if self.config.use_fingerprints {
-            if self
-                .arena
-                .fingerprint(i)
-                .refutes(self.arena.fingerprint(j), k)
-            {
-                return Some((false, Tier::Fingerprint));
-            }
-            if self.config.use_rank2_profiles && k >= 2 {
-                let cap = self.config.rank2_universe_cap;
-                if let (Some(a), Some(b)) = (
-                    self.arena.rank2_profile(i, cap),
-                    self.arena.rank2_profile(j, cap),
-                ) {
-                    if a != b {
-                        return Some((false, Tier::Rank2));
-                    }
+        if self
+            .arena
+            .fingerprint(i)
+            .refutes(self.arena.fingerprint(j), k)
+        {
+            return Some((false, Tier::Fingerprint));
+        }
+        if let Some(cap) = self.config.rank2_universe_cap.filter(|_| k >= 2) {
+            if let (Some(a), Some(b)) = (
+                self.arena.rank2_profile(i, cap),
+                self.arena.rank2_profile(j, cap),
+            ) {
+                if a != b {
+                    return Some((false, Tier::Rank2));
                 }
             }
         }
@@ -553,16 +521,11 @@ impl BatchSolver {
     }
 
     /// Runs the exact solver on `lo` vs `hi`, folding its counters into
-    /// the batch's. A sequential solve uses the shared table if there is
-    /// one and no table otherwise; a parallel one always has a table.
+    /// the batch's. The solver gets the shared table if there is one and
+    /// no table otherwise (a parallel search then makes its own).
     fn solve(&mut self, lo: WordId, hi: WordId, k: u32) -> bool {
         let mut solver = EfSolver::new(self.arena.game(lo, hi));
-        let table = match (&self.shared_table, self.config.solver_threads) {
-            (Some(table), _) => Some(table),
-            (None, 1) => None,
-            (None, _) => Some(self.parallel_table()),
-        };
-        if let Some(table) = table {
+        if let Some(table) = &self.shared_table {
             solver.attach_table(Arc::clone(table));
         }
         let verdict = match self.config.solver_threads {
@@ -672,71 +635,11 @@ impl BatchSolver {
         out
     }
 
-    /// [`BatchSolver::classify`] with the solver calls of each candidate's
-    /// representative scan fanned out over `threads` workers. Output is
-    /// byte-identical to the sequential partition: the wave only *solves*
-    /// the missing (candidate, representative) verdicts in parallel, and
-    /// at most one representative can match (reps are pairwise
-    /// inequivalent, ≡_k is transitive), so the sequential merge that
-    /// follows is deterministic.
-    pub fn classify_par(&mut self, items: &[WordId], k: u32, threads: usize) -> Vec<Vec<usize>> {
-        let t0 = Instant::now();
-        let threads = threads.max(1);
-        let mut dsu = Dsu::new(items.len());
-        let mut reps: Vec<usize> = Vec::new();
-        'next: for pos in 0..items.len() {
-            // Pre-solve this candidate's unresolved rep comparisons in
-            // parallel; memo and fingerprints keep the job list short.
-            let jobs: Vec<(WordId, WordId)> = reps
-                .iter()
-                .map(|&rep| (items[rep], items[pos]))
-                .filter(|&(a, b)| self.needs_solver(a, b, k))
-                .collect();
-            self.solve_jobs_parallel(&jobs, k, threads);
-            for rep in reps.iter().copied() {
-                if self.verdict(items[rep], items[pos], k) {
-                    dsu.union(rep, pos);
-                    continue 'next;
-                }
-            }
-            reps.push(pos);
-        }
-        let out = dsu.classes_by_first_member();
-        self.stats.wall += t0.elapsed();
-        out
-    }
-
     /// The full verdict matrix over the positions of `items`: only the
     /// upper triangle is solved, the diagonal is reflexivity, the lower
     /// half is mirrored.
     pub fn all_pairs(&mut self, items: &[WordId], k: u32) -> Vec<Vec<bool>> {
         let t0 = Instant::now();
-        let out = self.fill_matrix(items, k);
-        self.stats.wall += t0.elapsed();
-        out
-    }
-
-    /// [`BatchSolver::all_pairs`] with the unresolved upper-triangle pairs
-    /// solved by a work-stealing worker pool (same verdicts, same matrix).
-    pub fn all_pairs_par(&mut self, items: &[WordId], k: u32, threads: usize) -> Vec<Vec<bool>> {
-        let t0 = Instant::now();
-        let mut jobs: Vec<(WordId, WordId)> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for (p, &a) in items.iter().enumerate() {
-            for &b in items.iter().skip(p + 1) {
-                let key = (a.min(b), a.max(b));
-                if self.needs_solver(a, b, k) && seen.insert(key) {
-                    jobs.push(key);
-                }
-            }
-        }
-        self.solve_jobs_parallel(&jobs, k, threads.max(1));
-        let out = self.fill_matrix(items, k);
-        self.stats.wall += t0.elapsed();
-        out
-    }
-
-    fn fill_matrix(&mut self, items: &[WordId], k: u32) -> Vec<Vec<bool>> {
         let n = items.len();
         let mut eq = vec![vec![false; n]; n];
         for i in 0..n {
@@ -747,6 +650,7 @@ impl BatchSolver {
                 eq[j][i] = v;
             }
         }
+        self.stats.wall += t0.elapsed();
         eq
     }
 
@@ -802,83 +706,6 @@ impl BatchSolver {
             })?;
         Some(verdict.equivalent)
     }
-
-    /// `true` iff only the exact solver can decide (a, b) at rank k.
-    fn needs_solver(&self, a: WordId, b: WordId, k: u32) -> bool {
-        a != b && self.cheap_verdict(a, b, k).is_none()
-    }
-
-    /// Solves the given canonical, deduplicated jobs on a work-stealing
-    /// worker pool and merges the verdicts into the memo. Workers pop
-    /// fixed-size chunks off a shared atomic cursor; each worker owns one
-    /// [`EfSolver`] that is [`EfSolver::rebind`]-reused across its pairs,
-    /// so memo-table allocations amortize within a worker.
-    fn solve_jobs_parallel(&mut self, jobs: &[(WordId, WordId)], k: u32, threads: usize) {
-        if jobs.is_empty() {
-            return;
-        }
-        let threads = threads.min(jobs.len());
-        if threads <= 1 {
-            for &(a, b) in jobs {
-                let _ = self.verdict(a, b, k);
-            }
-            return;
-        }
-        const CHUNK: usize = 4;
-        let arena = &self.arena;
-        let solver_threads = self.config.solver_threads;
-        let table = self.parallel_table();
-        let cursor = AtomicUsize::new(0);
-        let mut merged: Vec<(usize, bool)> = Vec::with_capacity(jobs.len());
-        let mut solver_stats = SolverStats::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, bool)> = Vec::new();
-                        let mut worker: Option<EfSolver> = None;
-                        loop {
-                            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                            if start >= jobs.len() {
-                                break;
-                            }
-                            let end = (start + CHUNK).min(jobs.len());
-                            for (off, &(a, b)) in jobs[start..end].iter().enumerate() {
-                                let game = arena.game(a, b);
-                                let solver = match worker.as_mut() {
-                                    Some(s) => {
-                                        s.rebind(game);
-                                        s
-                                    }
-                                    None => worker
-                                        .insert(EfSolver::new(game).with_table(Arc::clone(table))),
-                                };
-                                let verdict = match solver_threads {
-                                    0 | 1 => solver.equivalent(k),
-                                    t => solver.equivalent_par(k, t),
-                                };
-                                out.push((start + off, verdict));
-                            }
-                        }
-                        (out, worker.map(|s| s.stats()).unwrap_or_default())
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (out, stats) = handle.join().expect("batch worker panicked");
-                merged.extend(out);
-                solver_stats.absorb(&stats);
-                solver_stats.wall += stats.wall;
-            }
-        });
-        for (idx, verdict) in merged {
-            let (a, b) = jobs[idx];
-            self.record(a.min(b), a.max(b), k, verdict, Tier::Solver);
-        }
-        self.stats.solver.absorb(&solver_stats);
-        self.stats.solver.wall += solver_stats.wall;
-    }
 }
 
 /// Classifies `root⁰..root^window` with the exact batch solver (one shared
@@ -896,7 +723,7 @@ pub fn periodic_table_builder(k: u32, root: &Word, window: u64) -> Option<Period
     let mut batch = BatchSolver::with_config(
         arena,
         BatchConfig {
-            use_rank2_profiles: true,
+            rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
             use_arith: false,
             ..BatchConfig::default()
         },
@@ -973,6 +800,15 @@ mod tests {
 
     fn window(max_len: usize) -> Vec<Word> {
         Alphabet::ab().words_up_to(max_len).collect()
+    }
+
+    /// aabaa / abaab and its a↔b renaming bbabb / babba: a pair the
+    /// fingerprint does not refute at k = 2, so it reaches the solver.
+    fn renamed_pairs() -> Vec<Word> {
+        ["aabaa", "abaab", "bbabb", "babba"]
+            .into_iter()
+            .map(Word::from)
+            .collect()
     }
 
     #[test]
@@ -1071,67 +907,6 @@ mod tests {
         // Rank 0 groups by occurring-letter set: {a, aa}, {b}, {ab, ba}.
         let classes = batch.classify(&ids, 0);
         assert_eq!(classes, vec![vec![0, 1], vec![2], vec![3, 4]]);
-    }
-
-    #[test]
-    fn classify_par_equals_sequential() {
-        let words = window(3);
-        for k in 0..=2u32 {
-            let (arena, ids) = StructureArena::for_words(&words);
-            let mut seq = BatchSolver::new(arena);
-            let expect = seq.classify(&ids, k);
-            for threads in [1usize, 2, 3, 7] {
-                let (arena, ids) = StructureArena::for_words(&words);
-                let mut par = BatchSolver::new(arena);
-                assert_eq!(
-                    par.classify_par(&ids, k, threads),
-                    expect,
-                    "k={k} t={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn all_pairs_par_equals_sequential_and_is_symmetric() {
-        let words = window(3);
-        let (arena, ids) = StructureArena::for_words(&words);
-        let mut seq = BatchSolver::new(arena);
-        let expect = seq.all_pairs(&ids, 1);
-        for (i, row) in expect.iter().enumerate() {
-            assert!(row[i], "diagonal");
-            for (j, &v) in row.iter().enumerate() {
-                assert_eq!(v, expect[j][i], "symmetry");
-            }
-        }
-        for threads in [2usize, 5] {
-            let (arena, ids) = StructureArena::for_words(&words);
-            let mut par = BatchSolver::new(arena);
-            assert_eq!(par.all_pairs_par(&ids, 1, threads), expect);
-        }
-    }
-
-    #[test]
-    fn fingerprint_ablation_is_verdict_invariant() {
-        let words = window(3);
-        let (arena, ids) = StructureArena::for_words(&words);
-        let mut with_fp = BatchSolver::new(arena);
-        let (arena2, ids2) = StructureArena::for_words(&words);
-        let mut without_fp = BatchSolver::with_config(
-            arena2,
-            BatchConfig {
-                use_fingerprints: false,
-                use_rank2_profiles: false,
-                use_arith: false,
-                ..BatchConfig::default()
-            },
-        );
-        for k in 0..=2u32 {
-            assert_eq!(with_fp.classify(&ids, k), without_fp.classify(&ids2, k));
-        }
-        assert_eq!(without_fp.stats().fingerprint_refutations, 0);
-        assert!(with_fp.stats().fingerprint_refutations > 0);
-        assert!(with_fp.stats().pairs_solved < without_fp.stats().pairs_solved);
     }
 
     #[test]
@@ -1249,31 +1024,23 @@ mod tests {
 
     #[test]
     fn canonical_tier_collapses_renamed_and_swapped_pairs() {
-        // (aabb, abab), (bbaa, baba) [letter swap], (abab, aabb) [argument
-        // swap] share one canonical pair: after the first is solved, the
-        // others are canon-memo hits — no extra game, no extra structure
-        // beyond the words themselves.
-        let words = vec![
-            Word::from("aabb"),
-            Word::from("abab"),
-            Word::from("bbaa"),
-            Word::from("baba"),
-        ];
+        // (aabaa, abaab), (bbabb, babba) [letter swap], (abaab, aabaa)
+        // [argument swap] share one canonical pair: after the first is
+        // solved, the others are canon-memo hits — no extra game, no extra
+        // structure beyond the words themselves. The fingerprint does not
+        // refute the pair at k = 2, so it reaches the canonical tier.
+        let words = renamed_pairs();
         let (arena, ids) = StructureArena::for_words(&words);
         let sigma = arena.alphabet().clone();
-        // Fingerprints off so the (inequivalent) pairs actually reach the
-        // canonical tier instead of being refuted upstream — the tier must
-        // collapse refutations just as well as confirmations.
-        let config = BatchConfig {
-            use_fingerprints: false,
-            use_arith: false,
-            ..BatchConfig::default()
-        };
         let table = Arc::new(TransTable::new(1 << 12));
-        let mut batch = BatchSolver::with_config(arena, config);
+        let mut batch = BatchSolver::new(arena);
         batch.share_table(Arc::clone(&table));
         let first = batch.equivalent(ids[0], ids[1], 2);
         let solved_after_first = batch.stats().pairs_solved;
+        assert_eq!(
+            solved_after_first, 1,
+            "the first pair must reach the solver"
+        );
         let renamed = batch.equivalent(ids[2], ids[3], 2);
         let swapped = batch.equivalent(ids[1], ids[0], 2);
         assert_eq!(first, renamed);
@@ -1295,7 +1062,7 @@ mod tests {
         // A fresh batch on the same table has an empty canonical memo: the
         // renamed pair is answered by the table's canonical root entry.
         let (arena2, ids2) = StructureArena::for_words(&words);
-        let mut second = BatchSolver::with_config(arena2, config);
+        let mut second = BatchSolver::new(arena2);
         second.share_table(table);
         assert_eq!(second.equivalent(ids2[2], ids2[3], 2), first);
         let stats = second.stats();
@@ -1312,19 +1079,14 @@ mod tests {
         // An engine-owned table outlives one batch: a second batch over
         // the same pair starts with the root verdict already present.
         let table = Arc::new(TransTable::new(1 << 12));
-        let words = vec![Word::from("aabb"), Word::from("abab")];
-        let config = BatchConfig {
-            use_fingerprints: false,
-            use_arith: false,
-            ..BatchConfig::default()
-        };
-        let (arena, ids) = StructureArena::for_words(&words);
-        let mut first = BatchSolver::with_config(arena, config);
+        let words = &renamed_pairs()[..2];
+        let (arena, ids) = StructureArena::for_words(words);
+        let mut first = BatchSolver::new(arena);
         first.share_table(Arc::clone(&table));
         let v1 = first.equivalent(ids[0], ids[1], 2);
         assert_eq!(first.stats().pairs_solved, 1);
-        let (arena2, ids2) = StructureArena::for_words(&words);
-        let mut second = BatchSolver::with_config(arena2, config);
+        let (arena2, ids2) = StructureArena::for_words(words);
+        let mut second = BatchSolver::new(arena2);
         second.share_table(Arc::clone(&table));
         let v2 = second.equivalent(ids2[0], ids2[1], 2);
         assert_eq!(v1, v2);
@@ -1339,21 +1101,15 @@ mod tests {
     #[test]
     fn sequential_solves_without_a_shared_table_allocate_none() {
         // A batch with no shared table runs its sequential solves
-        // table-free: no transposition table exists even after the
+        // table-free: no transposition table is probed even after the
         // solver has run, and the partition is still the exact one.
-        let words: Vec<Word> = Alphabet::ab().words_up_to(3).collect();
+        let mut words: Vec<Word> = Alphabet::ab().words_up_to(3).collect();
+        words.extend(renamed_pairs());
         let (arena, ids) = StructureArena::for_words(&words);
-        // Invariant and arithmetic tiers off, so the pairs reach the solver.
-        let config = BatchConfig {
-            use_fingerprints: false,
-            use_arith: false,
-            ..BatchConfig::default()
-        };
-        let mut batch = BatchSolver::with_config(arena, config);
+        let mut batch = BatchSolver::new(arena);
         let classes = batch.classify(&ids, 2);
         let stats = batch.stats();
         assert!(stats.pairs_solved > 0, "the solver must run: {stats}");
-        assert!(batch.own_table.get().is_none());
         assert_eq!(batch.table_stats(), TransTableStats::default());
         assert_eq!(stats.table_root_hits, 0);
         assert_eq!(

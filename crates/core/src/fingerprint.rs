@@ -55,8 +55,9 @@
 //! Because it costs O(|U|²) per word — more than a small window game, far
 //! less than a long-word game — it is not part of the eagerly-built
 //! `Fingerprint`: [`crate::batch::StructureArena`] memoizes it lazily,
-//! only for words that survive the cheap layers, only under
-//! [`TYPE2_UNIVERSE_CAP`], and only when the batch is configured for it.
+//! only for words that survive the cheap layers, and only under the
+//! batch's universe cap ([`crate::batch::BatchConfig::rank2_universe_cap`],
+//! usually [`TYPE2_UNIVERSE_CAP`]).
 //!
 //! Note what is deliberately **absent**: raw length and per-letter Parikh
 //! counts are *not* ≡_k-invariants (`a³ ≡₁ a⁴` is the paper's minimal

@@ -109,12 +109,12 @@ impl FoolingInstance {
             .fold(Alphabet::from_symbols(b""), |s, w| s.extended_by(w))
     }
 
-    /// A batch solver for this instance's scans: fingerprints on, inner
+    /// A batch solver for this instance's scans: rank-2 profiles on, inner
     /// solver in auto-parallel mode (the confirmations at rank ≥ 2 are the
     /// few heavy games where the solver's top-level fan-out pays off).
     ///
-    /// The rank-2 profile cap is raised to 512: the scan words
-    /// `w₁·uᵖ·w₂` grow past the default cap of 64 almost immediately
+    /// The rank-2 profile cap is 512: the scan words `w₁·uᵖ·w₂` grow past
+    /// [`crate::fingerprint::TYPE2_UNIVERSE_CAP`] (64) almost immediately
     /// (p ≥ 8 on the E08 instance), which silently turned the profile
     /// tier off and let every surviving pair reach the solver — the
     /// E08/E09 regression. At cap 512 the O(|U|²) profile pass is still
@@ -123,9 +123,7 @@ impl FoolingInstance {
         BatchSolver::with_config(
             StructureArena::new(self.block_alphabet()),
             BatchConfig {
-                use_fingerprints: true,
-                use_rank2_profiles: true,
-                rank2_universe_cap: 512,
+                rank2_universe_cap: Some(512),
                 solver_threads: 0,
                 ..BatchConfig::default()
             },

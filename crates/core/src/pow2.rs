@@ -12,10 +12,10 @@
 //! (the scan previously rebuilt `a^q`'s O(q²) concat table for every `p`),
 //! fingerprints refute inequivalent pairs without a game, and the verdict
 //! memo is shared across the whole scan. The definitional per-pair loops
-//! are kept as `*_naive` for the differential suite and the benches.
+//! live in the test module as `*_naive`, the differential baseline.
 
 use crate::batch::{BatchConfig, BatchSolver, BatchStats, StructureArena, WordId};
-use crate::solver::equivalent;
+use crate::fingerprint::TYPE2_UNIVERSE_CAP;
 use fc_words::semilinear::{LinearSet, SemilinearSet};
 use fc_words::{Alphabet, Word};
 
@@ -49,24 +49,6 @@ pub fn minimal_unary_pair_with_stats(k: u32, limit: usize) -> (Option<(usize, us
     (None, batch.stats())
 }
 
-/// The definitional `(q, p)` scan with a fresh solver per probe — the
-/// "before" leg of the P9 bench and the differential baseline.
-pub fn minimal_unary_pair_naive(k: u32, limit: usize) -> Option<(usize, usize)> {
-    for q in 1..=limit {
-        for p in 1..q {
-            if unary_equivalent(p, q, k) {
-                return Some((p, q));
-            }
-        }
-    }
-    None
-}
-
-/// `aᵖ ≡_k a^q`?
-pub fn unary_equivalent(p: usize, q: usize, k: u32) -> bool {
-    equivalent(&"a".repeat(p), &"a".repeat(q), k)
-}
-
 /// The ≡_k classes of `{aⁿ : 0 ≤ n ≤ limit}`, each class a sorted list of
 /// exponents. Classes are found by comparing against representatives
 /// (≡_k is an equivalence relation by Theorem 3.5).
@@ -79,33 +61,6 @@ pub fn unary_classes_with_stats(k: u32, limit: usize) -> (Vec<Vec<usize>>, Batch
     let (mut batch, ids) = unary_batch(limit);
     let classes = batch.classify(&ids, k);
     (classes, batch.stats())
-}
-
-/// The definitional representative loop (fresh solver per comparison) —
-/// differential baseline and bench leg.
-pub fn unary_classes_naive(k: u32, limit: usize) -> Vec<Vec<usize>> {
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    'next: for n in 0..=limit {
-        for class in classes.iter_mut() {
-            let rep = class[0];
-            if unary_equivalent(rep, n, k) {
-                class.push(n);
-                continue 'next;
-            }
-        }
-        classes.push(vec![n]);
-    }
-    classes
-}
-
-/// Parallel version of [`unary_classes`]: the batch engine solves each
-/// candidate's unresolved representative comparisons on a work-stealing
-/// worker pool. The partition is byte-identical to the sequential one —
-/// at most one representative can match any candidate (representatives
-/// are pairwise inequivalent and ≡_k is transitive).
-pub fn unary_classes_parallel(k: u32, limit: usize, threads: usize) -> Vec<Vec<usize>> {
-    let (mut batch, ids) = unary_batch(limit);
-    batch.classify_par(&ids, k, threads)
 }
 
 /// One batch solver over `{aⁿ : n ≤ limit}`. Interning in exponent order
@@ -122,10 +77,10 @@ fn unary_batch(limit: usize) -> (BatchSolver, Vec<WordId>) {
 /// Unary pairs past tiny exponents share every cheap fingerprint
 /// component, while their rank-2 games are the scan's whole cost — the
 /// lazily-memoized rank-2 type profile is exactly the trade worth making
-/// here (see [`BatchConfig::use_rank2_profiles`]).
+/// here (see [`BatchConfig::rank2_universe_cap`]).
 fn unary_config() -> BatchConfig {
     BatchConfig {
-        use_rank2_profiles: true,
+        rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
         ..BatchConfig::default()
     }
 }
@@ -188,6 +143,33 @@ pub fn classes_as_semilinear(k: u32, limit: usize) -> Vec<SemilinearSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::equivalent;
+
+    /// `aᵖ ≡_k a^q`, by a fresh solver.
+    fn unary_equivalent(p: usize, q: usize, k: u32) -> bool {
+        equivalent(&"a".repeat(p), &"a".repeat(q), k)
+    }
+
+    /// The definitional `(q, p)` scan with a fresh solver per probe.
+    fn minimal_unary_pair_naive(k: u32, limit: usize) -> Option<(usize, usize)> {
+        (1..=limit).find_map(|q| (1..q).find(|&p| unary_equivalent(p, q, k)).map(|p| (p, q)))
+    }
+
+    /// The definitional representative loop, a fresh solver per
+    /// comparison.
+    fn unary_classes_naive(k: u32, limit: usize) -> Vec<Vec<usize>> {
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        'next: for n in 0..=limit {
+            for class in classes.iter_mut() {
+                if unary_equivalent(class[0], n, k) {
+                    class.push(n);
+                    continue 'next;
+                }
+            }
+            classes.push(vec![n]);
+        }
+        classes
+    }
 
     #[test]
     fn rank_zero_and_one_pairs_exist() {
@@ -201,12 +183,11 @@ mod tests {
 
     #[test]
     fn batch_scan_matches_naive() {
-        for k in 0..=2u32 {
-            let limit = if k == 2 { 16 } else { 10 };
+        for (k, limit) in [(0, 10), (1, 10), (2, 16), (2, 20)] {
             assert_eq!(
                 minimal_unary_pair(k, limit),
                 minimal_unary_pair_naive(k, limit),
-                "k={k}"
+                "k={k} limit={limit}"
             );
         }
         // No pair below the minimum: both agree on None.
@@ -217,7 +198,13 @@ mod tests {
     #[test]
     fn batch_classes_match_naive() {
         for k in 0..=2u32 {
-            assert_eq!(unary_classes(k, 10), unary_classes_naive(k, 10), "k={k}");
+            for limit in [10, 12] {
+                assert_eq!(
+                    unary_classes(k, limit),
+                    unary_classes_naive(k, limit),
+                    "k={k} limit={limit}"
+                );
+            }
         }
     }
 
@@ -272,27 +259,5 @@ mod tests {
         let classes = unary_classes(0, 3);
         let text = render_classes(&classes);
         assert!(text.contains("class 1"));
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    #[test]
-    fn parallel_matches_sequential() {
-        for k in 0..=2u32 {
-            assert_eq!(
-                unary_classes_parallel(k, 12, 4),
-                unary_classes(k, 12),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn single_thread_degenerates_gracefully() {
-        assert_eq!(unary_classes_parallel(1, 8, 1), unary_classes(1, 8));
-        assert_eq!(unary_classes_parallel(1, 8, 64), unary_classes(1, 8));
     }
 }

@@ -433,8 +433,7 @@ impl EfSolver {
         self
     }
 
-    /// Attaches a shared transposition table. Survives [`EfSolver::rebind`],
-    /// so a batch worker's games all feed one table.
+    /// Attaches a shared transposition table.
     pub fn attach_table(&mut self, table: Arc<TransTable>) {
         self.table = Some(table);
     }
@@ -447,22 +446,6 @@ impl EfSolver {
     /// The underlying game.
     pub fn game(&self) -> &GamePair {
         &self.game
-    }
-
-    /// Rebinds this solver to a different game, clearing the memo tables
-    /// while **retaining their allocations** and keeping the accumulated
-    /// [`SolverStats`] (and any attached transposition table). This is the
-    /// batch engine's per-worker reuse hook: a worker thread solves
-    /// hundreds of pairs with one solver, and the memo `HashMap`s (the
-    /// dominant allocation) amortize across pairs.
-    pub fn rebind(&mut self, game: GamePair) {
-        self.identical = game.a.word() == game.b.word();
-        self.game_fp = game_fingerprint(&game);
-        self.game = game;
-        self.guide = None;
-        for table in &mut self.memo {
-            table.clear();
-        }
     }
 
     /// Decides `w ≡_k v`.
@@ -1097,20 +1080,6 @@ mod tests {
             second.stats().states_explored,
             0,
             "the root hit should resolve the game outright"
-        );
-    }
-
-    #[test]
-    fn table_survives_rebind() {
-        let table = Arc::new(TransTable::new(1 << 12));
-        let mut solver = EfSolver::of("aab", "aba").with_table(Arc::clone(&table));
-        let v1 = solver.equivalent(2);
-        solver.rebind(GamePair::of("aab", "aba"));
-        let v2 = solver.equivalent(2);
-        assert_eq!(v1, v2);
-        assert!(
-            solver.stats().table_hits >= 1,
-            "rebinding to the same pair must reuse the shared table"
         );
     }
 

@@ -11,6 +11,7 @@
 
 use fc_games::arith::{ArithOracle, ArithRoute};
 use fc_games::batch::{periodic_table_builder, BatchConfig, BatchSolver, StructureArena};
+use fc_games::fingerprint::TYPE2_UNIVERSE_CAP;
 use fc_games::solver::EfSolver;
 use fc_games::GamePair;
 use fc_words::Word;
@@ -60,7 +61,7 @@ fn periodic_grid_matches_exact_batch_engine() {
             let mut exact = BatchSolver::with_config(
                 arena,
                 BatchConfig {
-                    use_rank2_profiles: true,
+                    rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
                     use_arith: false,
                     ..BatchConfig::default()
                 },

@@ -1,5 +1,5 @@
 //! Hot-path perf smokes: the E08 fooling confirmation and the batch
-//! classify grid must stay fast.
+//! classify of a word window must stay fast.
 //!
 //! `a¹²b¹² ≡₂ a¹⁴b¹²` took 47 s (release) on the pre-optimization solver;
 //! the optimized solver decides it in well under a second. The budgets here
@@ -40,8 +40,8 @@ fn e08_rank2_confirmation_within_budget() {
 
 #[test]
 fn batch_classify_window4_rank2_within_budget() {
-    // The P9 tripwire: classify all 31 words of Σ^{≤4} at k = 2 on the
-    // batch engine. The arena builds 31 structures (the naive loop built
+    // The batch-classify tripwire: classify all 31 words of Σ^{≤4} at
+    // k = 2. The arena builds 31 structures (the naive loop built
     // ~2 per comparison), fingerprints refute most cross-class pairs, and
     // the verdict memo absorbs the rest — regressing any of those layers
     // shows up as an order-of-magnitude wall-time jump.
@@ -51,7 +51,7 @@ fn batch_classify_window4_rank2_within_budget() {
     let (classes, stats) = hintikka::classes_with_stats(&words, 2);
     let elapsed = start.elapsed();
     println!(
-        "P9 classify Σ^≤4 k=2: {elapsed:.3?} wall, {} classes, [batch: {stats}]",
+        "batch classify Σ^≤4 k=2: {elapsed:.3?} wall, {} classes, [batch: {stats}]",
         classes.len()
     );
     assert_eq!(

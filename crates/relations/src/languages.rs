@@ -8,6 +8,7 @@
 //! `L ∉ 𝓛(FC)`.
 
 use fc_games::batch::{BatchConfig, BatchSolver, BatchStats, StructureArena};
+use fc_games::fingerprint::TYPE2_UNIVERSE_CAP;
 use fc_words::{Alphabet, Word};
 
 /// A solver-confirmed fooling pair for a language at rank `k`.
@@ -203,8 +204,7 @@ impl PaperLanguage {
         let mut batch = BatchSolver::with_config(
             StructureArena::new(sigma),
             BatchConfig {
-                use_fingerprints: true,
-                use_rank2_profiles: true,
+                rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
                 solver_threads: 1,
                 ..BatchConfig::default()
             },

@@ -25,7 +25,7 @@ cargo test -q --offline --release -p fc-serve
 echo "==> planner suites (fc-logic lib + plan_diff differential + FC[REG] proptests; release)"
 cargo test -q --offline --release -p fc-logic --lib --test plan_diff --test prop
 
-echo "==> solver perf smokes (E08 confirmation + P9 batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires, release, generous budgets)"
+echo "==> solver perf smokes (E08 confirmation + batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires, release, generous budgets)"
 cargo test -q --offline --release -p fc-games --test perf_smoke -- --nocapture --skip pr10_
 
 echo "==> PR10 tripwires (guided-ordering state budgets on the E08/E09 confirmations; shared-table hit-rate floor on the E09 reconfirmation; release)"
@@ -52,5 +52,8 @@ ADDR="$(head -n1 "$PORT_FILE")"
 ./target/release/fc-loadgen --addr "$ADDR" --requests 2000 --clients 4 --expect-cache-hits --shutdown
 wait "$SERVE_PID" # clean exit after the loadgen's shutdown request
 rm -f "$PORT_FILE"
+
+echo "==> perfbench builds against the current crates (outside the workspace, so clippy never sees it)"
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml --target-dir .bench_build
 
 echo "All checks passed."

@@ -371,7 +371,7 @@ fn cmd_game(args: &[String]) -> Result<(), String> {
                 println!("  round {}: pick {side}:{word}", i + 1);
             }
         }
-        if let Some(min_k) = EfSolver::of(w, v).distinguishing_rounds(k) {
+        if let Some(min_k) = solver.distinguishing_rounds(k) {
             if let Some(phi) = fc_suite::games::certificate::distinguishing_sentence(w, v, min_k) {
                 let printed = phi.to_string();
                 if printed.len() <= 400 {

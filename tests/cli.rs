@@ -58,6 +58,16 @@ fn game_command_reports_verdict_and_certificate() {
     let (stdout, _, ok) = fc(&["game", "aaa", "aaaa", "1"]);
     assert!(ok);
     assert!(stdout.contains("true"), "{stdout}");
+    // A pair refuted at rank 2 but not at rank 1: the winning line and the
+    // certificate's rank are pinned.
+    let (stdout, _, ok) = fc(&["game", "aaba", "abaa", "2"]);
+    assert!(ok);
+    assert!(
+        stdout.contains(
+            "Spoiler winning line:\n  round 1: pick A:aa\n  round 2: pick A:aab\ncertificate (qr ≤ 2): "
+        ),
+        "{stdout}"
+    );
 }
 
 #[test]
