@@ -69,8 +69,8 @@ impl GamePair {
         GamePair::from_parts(a, b, constant_pairs)
     }
 
-    /// Assembles a game from pre-built structures and seeding (used by the
-    /// solver's role-swapping callers); computes the mirror tables.
+    /// Assembles a game from pre-built structures and seeding (the batch
+    /// engine shares one structure per word); computes the mirror tables.
     pub fn from_parts(
         a: Arc<FactorStructure>,
         b: Arc<FactorStructure>,
@@ -95,17 +95,6 @@ impl GamePair {
     /// Builds the game from two strings over their joint alphabet.
     pub fn of(w: &str, v: &str) -> GamePair {
         GamePair::new(Word::from(w), Word::from(v), &Alphabet::from_symbols(b""))
-    }
-
-    /// The same game with the roles of 𝔄 and 𝔅 exchanged.
-    pub fn swapped(&self) -> GamePair {
-        GamePair {
-            a: self.b.clone(),
-            b: self.a.clone(),
-            constant_pairs: self.constant_pairs.iter().map(|&(x, y)| (y, x)).collect(),
-            mirror_ab: self.mirror_ba.clone(),
-            mirror_ba: self.mirror_ab.clone(),
-        }
     }
 
     /// `true` iff the constant seeding itself is a partial isomorphism
@@ -214,17 +203,6 @@ mod tests {
                     .id_of(g.structure(side).bytes_of(id));
                 assert_eq!(g.mirror(side, id), expected);
             }
-        }
-    }
-
-    #[test]
-    fn swapped_game_flips_roles() {
-        let g = GamePair::of("abaab", "aab");
-        let s = g.swapped();
-        assert_eq!(s.a.word(), g.b.word());
-        assert_eq!(s.b.word(), g.a.word());
-        for id in s.a.universe() {
-            assert_eq!(s.mirror(Side::A, id), g.mirror(Side::B, id));
         }
     }
 

@@ -16,217 +16,117 @@
 //! that *every* response loses one round earlier; picking in 𝔄 yields
 //! `∃x: ⋀_b ψ_b` (one recursive certificate per Duplicator response),
 //! picking in 𝔅 yields the dual `¬∃x: ⋀_a ψ_a` with the roles swapped.
+//!
+//! Spoiler's moves come from `EfSolver::spoiler_move` on the caller's
+//! solver. A role swap only changes which side the hunt tries first and
+//! which side the atoms read as true; positions keep the game's own
+//! (𝔄, 𝔅) orientation, so one solver and one memo serve both roles.
 
 use crate::arena::{GamePair, Side};
 use crate::partial_iso::Pair;
 use crate::solver::EfSolver;
 use fc_logic::{FactorId, Formula, Term};
 
-/// Synthesizes a rank-≤ k sentence with `𝔄_w ⊨ φ` and `𝔅_v ⊭ φ`, or
-/// `None` if `w ≡_k v`.
-pub fn distinguishing_sentence(w: &str, v: &str, k: u32) -> Option<Formula> {
-    let game = GamePair::of(w, v);
-    let mut ctx = CertCtx {
-        solver_ab: EfSolver::new(game.clone()),
-        solver_ba: EfSolver::new(game.swapped()),
-        game,
-        fresh: 0,
-    };
-    if ctx.solver_ab.equivalent(k) {
+/// Synthesizes a rank-≤ k sentence with `𝔄_w ⊨ φ` and `𝔅_v ⊭ φ` for the
+/// game of `solver`, or `None` if `w ≡_k v`. Every strategy query goes to
+/// `solver`, so a solver that has already decided the game answers from
+/// its memo.
+pub fn distinguishing_sentence(solver: &mut EfSolver, k: u32) -> Option<Formula> {
+    if solver.equivalent(k) {
         return None;
     }
     // Terms for the seeded constant pairs: the constants themselves.
-    let mut terms: Vec<Term> = Vec::new();
-    let mut state: Vec<Pair> = Vec::new();
-    let syms: Vec<u8> = ctx.game.a.alphabet().symbols().to_vec();
-    for (i, &(pa, pb)) in ctx.game.constant_pairs.clone().iter().enumerate() {
-        let term = if i < syms.len() {
-            Term::Sym(syms[i])
-        } else {
-            Term::Epsilon
-        };
-        terms.push(term);
-        state.push((pa, pb));
-    }
-    Some(ctx.distinguish(&state, &terms, k, false))
+    let game = solver.game();
+    let syms = game.a.alphabet().symbols();
+    let terms: Vec<Term> = (0..game.constant_pairs.len())
+        .map(|i| syms.get(i).map_or(Term::Epsilon, |&s| Term::Sym(s)))
+        .collect();
+    let state = game.constant_pairs.clone();
+    let mut ctx = CertCtx { solver, fresh: 0 };
+    Some(ctx.distinguish(&state, &terms, k, Side::A))
 }
 
-struct CertCtx {
-    game: GamePair,
-    solver_ab: EfSolver,
-    solver_ba: EfSolver,
+struct CertCtx<'s> {
+    solver: &'s mut EfSolver,
     fresh: usize,
 }
 
-impl CertCtx {
+impl CertCtx<'_> {
     /// Builds a formula over the given terms that is true in the structure
-    /// currently playing the 𝔄 role and false in the 𝔅 role.
-    ///
-    /// `swapped = false`: roles as in the original game (truth side = a).
-    /// `swapped = true`: roles flipped.
-    fn distinguish(&mut self, state: &[Pair], terms: &[Term], k: u32, swapped: bool) -> Formula {
-        let (truth, falsity) = self.structures(swapped);
+    /// on side `truth` and false in the other one. `state` always keeps
+    /// the game's own (𝔄, 𝔅) orientation.
+    fn distinguish(&mut self, state: &[Pair], terms: &[Term], k: u32, truth: Side) -> Formula {
         // 1. Current-state violation: find a separating atom.
-        if let Some(atom) = separating_atom(&self.game, state, terms, swapped) {
+        if let Some(atom) = separating_atom(self.solver.game(), state, terms, truth) {
             return atom;
         }
         debug_assert!(k > 0, "Spoiler must win within the budget");
         if k == 0 {
             return Formula::top(); // defensive; unreachable for real wins
         }
-        // 2. Find Spoiler's winning move.
-        let oriented: Vec<Pair> = if swapped {
-            state.iter().map(|&(x, y)| (y, x)).collect()
-        } else {
-            state.to_vec()
-        };
-        let solver = if swapped {
-            &mut self.solver_ba
-        } else {
-            &mut self.solver_ab
-        };
-        // Try truth-side moves first (they give positive ∃ formulas).
-        // ⊥ is never needed by Spoiler (a ⊥ ↦ ⊥ answer is inert), and FC
-        // variables range over factors only, so ⊥ is excluded here.
-        for side in [Side::A, Side::B] {
-            let structure = match side {
-                Side::A => truth.clone(),
-                Side::B => falsity.clone(),
-            };
-            let moves: Vec<FactorId> = structure.universe().collect();
-            for element in moves {
-                if solver
-                    .best_response_from(&oriented, side, element, k)
-                    .is_none()
-                {
-                    // Spoiler wins by playing `element` on `side`.
-                    return self.certify_move(state, terms, k, swapped, side, element);
-                }
-            }
-        }
-        unreachable!("Spoiler has a winning move in every losing state");
-    }
-
-    fn structures(
-        &self,
-        swapped: bool,
-    ) -> (
-        std::sync::Arc<fc_logic::FactorStructure>,
-        std::sync::Arc<fc_logic::FactorStructure>,
-    ) {
-        if swapped {
-            (self.game.b.clone(), self.game.a.clone())
-        } else {
-            (self.game.a.clone(), self.game.b.clone())
-        }
-    }
-
-    fn certify_move(
-        &mut self,
-        state: &[Pair],
-        terms: &[Term],
-        k: u32,
-        swapped: bool,
-        side: Side,
-        element: FactorId,
-    ) -> Formula {
+        // 2. Spoiler's winning move, truth side first. On the truth side
+        //    it yields `∃x: ⋀_b ψ_b`, one conjunct per Duplicator response
+        //    `b`; on the other side the dual `¬∃x: ⋀_a ψ_a`, whose
+        //    conjuncts are true where Spoiler's element lives. FC witnesses
+        //    range over factors, so the ⊥ response needs no conjunct.
+        let (side, element) = self
+            .solver
+            .spoiler_move(state, k, truth)
+            .expect("Spoiler has a winning move in every losing state");
         self.fresh += 1;
         let var_name = format!("__c{}", self.fresh);
-        let var = Term::var(&var_name);
         let mut new_terms = terms.to_vec();
-        new_terms.push(var.clone());
-
-        let (_, falsity) = self.structures(swapped);
-        match side {
-            Side::A => {
-                // φ = ∃x: ⋀_{responses b} ψ_b, true on the truth side with
-                // x := element.
-                let mut conjuncts: Vec<Formula> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                // FC witnesses range over factors, so the ⊥ response needs
-                // no conjunct.
-                let responses: Vec<FactorId> = falsity.universe().collect();
-                for response in responses {
-                    let mut next = state.to_vec();
-                    let pair = if swapped {
-                        (response, element) // state is stored in original orientation
-                    } else {
-                        (element, response)
-                    };
-                    next.push(pair);
-                    let psi = self.distinguish(&next, &new_terms, k - 1, swapped);
-                    if seen.insert(format!("{psi}")) {
-                        conjuncts.push(psi);
-                    }
-                }
-                Formula::Exists(
-                    std::rc::Rc::from(var_name.as_str()),
-                    Box::new(Formula::and(conjuncts)),
-                )
+        new_terms.push(Term::var(&var_name));
+        let mut conjuncts: Vec<Formula> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for response in self.solver.game().structure(side.other()).universe() {
+            let mut next = state.to_vec();
+            next.push(self.solver.game().as_ab_pair(side, element, response));
+            let psi = self.distinguish(&next, &new_terms, k - 1, side);
+            if seen.insert(format!("{psi}")) {
+                conjuncts.push(psi);
             }
-            Side::B => {
-                // Dual: Spoiler plays on the falsity side. Build a formula
-                // true on the falsity side via role swap, then negate.
-                let mut conjuncts: Vec<Formula> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                let (truth, _) = self.structures(swapped);
-                let responses: Vec<FactorId> = truth.universe().collect();
-                for response in responses {
-                    let mut next = state.to_vec();
-                    let pair = if swapped {
-                        (element, response)
-                    } else {
-                        (response, element)
-                    };
-                    next.push(pair);
-                    // Flip roles: certificate true where `element` lives.
-                    let psi = self.distinguish(&next, &new_terms, k - 1, !swapped);
-                    if seen.insert(format!("{psi}")) {
-                        conjuncts.push(psi);
-                    }
-                }
-                Formula::not(Formula::Exists(
-                    std::rc::Rc::from(var_name.as_str()),
-                    Box::new(Formula::and(conjuncts)),
-                ))
-            }
+        }
+        let exists = Formula::Exists(
+            std::rc::Rc::from(var_name.as_str()),
+            Box::new(Formula::and(conjuncts)),
+        );
+        if side == truth {
+            exists
+        } else {
+            Formula::not(exists)
         }
     }
 }
 
 /// Finds an atom over `terms` (R∘ triples, including the equality-with-ε
-/// and constant facts) that holds in the truth-side tuple but not the
-/// falsity-side tuple, or is false truth-side and true falsity-side
+/// and constant facts) that holds in the `truth`-side tuple but not the
+/// other tuple, or is false on the `truth` side and true on the other
 /// (returned negated).
 fn separating_atom(
     game: &GamePair,
     state: &[Pair],
     terms: &[Term],
-    swapped: bool,
+    truth: Side,
 ) -> Option<Formula> {
     let n = state.len();
     debug_assert_eq!(n, terms.len());
-    let (sa, sb) = if swapped {
-        (&game.b, &game.a)
-    } else {
-        (&game.a, &game.b)
-    };
+    let (st, sf) = (game.structure(truth), game.structure(truth.other()));
     let elem = |i: usize| -> (FactorId, FactorId) {
         let (x, y) = state[i];
-        if swapped {
-            (y, x)
-        } else {
-            (x, y)
+        match truth {
+            Side::A => (x, y),
+            Side::B => (y, x),
         }
     };
     for l in 0..n {
         for i in 0..n {
             for j in 0..n {
-                let (la, lb) = elem(l);
-                let (ia, ib) = elem(i);
-                let (ja, jb) = elem(j);
-                let holds_truth = sa.concat_holds(la, ia, ja);
-                let holds_false = sb.concat_holds(lb, ib, jb);
+                let (lt, lf) = elem(l);
+                let (it, iff) = elem(i);
+                let (jt, jf) = elem(j);
+                let holds_truth = st.concat_holds(lt, it, jt);
+                let holds_false = sf.concat_holds(lf, iff, jf);
                 if holds_truth != holds_false {
                     let atom =
                         Formula::eq_cat(terms[l].clone(), terms[i].clone(), terms[j].clone());
@@ -250,7 +150,7 @@ mod tests {
     use fc_words::Alphabet;
 
     fn verify_certificate(w: &str, v: &str, k: u32) {
-        let phi = distinguishing_sentence(w, v, k)
+        let phi = distinguishing_sentence(&mut EfSolver::of(w, v), k)
             .unwrap_or_else(|| panic!("{w} and {v} should be ≢_{k}"));
         assert!(phi.qr() <= k as usize, "qr({phi}) = {} > {k}", phi.qr());
         let sigma = Alphabet::ab()
@@ -290,16 +190,19 @@ mod tests {
 
     #[test]
     fn returns_none_on_equivalent_pairs() {
-        assert!(distinguishing_sentence("aaa", "aaaa", 1).is_none());
-        assert!(distinguishing_sentence("ab", "ab", 2).is_none());
-        assert!(distinguishing_sentence(&"a".repeat(12), &"a".repeat(14), 2).is_none());
+        assert!(distinguishing_sentence(&mut EfSolver::of("aaa", "aaaa"), 1).is_none());
+        assert!(distinguishing_sentence(&mut EfSolver::of("ab", "ab"), 2).is_none());
+        assert!(
+            distinguishing_sentence(&mut EfSolver::of(&"a".repeat(12), &"a".repeat(14)), 2)
+                .is_none()
+        );
     }
 
     #[test]
     fn certificate_for_example_3_3() {
         // a^4 vs a^3 at rank 2 — the paper's opening example, certified by
         // an actual sentence.
-        let phi = distinguishing_sentence("aaaa", "aaa", 2).unwrap();
+        let phi = distinguishing_sentence(&mut EfSolver::of("aaaa", "aaa"), 2).unwrap();
         assert!(phi.qr() <= 2);
         verify_certificate("aaaa", "aaa", 2);
         // And the certificate transfers: it distinguishes other pairs of

@@ -24,8 +24,11 @@
 //! - [`hintikka`]: ≡_k-partitions of word sets;
 //! - [`batch`]: the bulk ≡_k engine — a [`batch::StructureArena`] building
 //!   each word's structure once and a [`batch::BatchSolver`] with verdict
-//!   memoization, fingerprint pruning, and a parallel pair grid; the
-//!   drivers behind E03/E24/E15 run on it;
+//!   memoization and fingerprint pruning; the drivers behind E03/E24/E15
+//!   run on it;
+//! - [`certificate`]: the constructive direction of Theorem 3.5 — a
+//!   rank-≤ k FC sentence separating `w ≢_k v`, read off the solver's
+//!   Spoiler strategy;
 //! - [`fingerprint`]: cheap ≡_k-invariant fingerprints used to refute
 //!   inequivalent pairs without entering the game;
 //! - [`arith`] + [`semilinear`]: the semilinear arithmetic tier —
@@ -68,7 +71,6 @@ pub mod shards;
 pub mod solver;
 pub mod strategies;
 pub mod strategy;
-pub mod trace;
 pub mod ttable;
 
 pub use arena::{GamePair, Side};

@@ -831,12 +831,49 @@ impl EfSolver {
         None
     }
 
-    /// Any consistent response (used to extend a Spoiler winning line even
-    /// through positions where every response loses eventually).
-    fn salvage_response(&self, state: &[u64], side: Side, element: FactorId) -> Option<FactorId> {
+    /// Spoiler's first winning move from `state` with `k` rounds left:
+    /// the first universe element, on side `first` and then on the other
+    /// side, that no Duplicator response survives — or `None` if
+    /// Duplicator wins from `state`. ⊥ is never a candidate: Duplicator
+    /// answers it with ⊥, which adds no constraint.
+    ///
+    /// `state` is a full pair list including the constant seeding. The
+    /// one move hunt behind [`EfSolver::spoiler_winning_line`] and the
+    /// certificates of [`crate::certificate`].
+    pub(crate) fn spoiler_move(
+        &mut self,
+        state: &[Pair],
+        k: u32,
+        first: Side,
+    ) -> Option<(Side, FactorId)> {
+        let played = self.pack_played(state);
+        for side in [first, first.other()] {
+            for element in self.game.structure(side).universe() {
+                if self
+                    .best_response_packed(&played, side, element, k)
+                    .is_none()
+                {
+                    return Some((side, element));
+                }
+            }
+        }
+        None
+    }
+
+    /// Any consistent response to Spoiler playing `element` on `side` from
+    /// `state` (a full pair list including the constant seeding): the
+    /// mirror first, then universe order, then ⊥. This is how play goes on
+    /// through positions where every response eventually loses.
+    pub(crate) fn salvage_response(
+        &self,
+        state: &[Pair],
+        side: Side,
+        element: FactorId,
+    ) -> Option<FactorId> {
+        let played = self.pack_played(state);
         let ok = |r: FactorId| {
             self.game
-                .consistent_seeded(state, self.game.as_ab_pair(side, element, r))
+                .consistent_seeded(&played, self.game.as_ab_pair(side, element, r))
         };
         let mirror = self.game.mirror(side, element);
         if let Some(m) = mirror {
@@ -844,9 +881,9 @@ impl EfSolver {
                 return Some(m);
             }
         }
-        let n = self.game.structure(side.other()).universe_len() as u32;
-        (0..n)
-            .map(FactorId)
+        self.game
+            .structure(side.other())
+            .universe()
             .filter(|&r| Some(r) != mirror)
             .chain((!element.is_bottom()).then_some(FactorId::BOTTOM))
             .find(|&r| ok(r))
@@ -854,54 +891,29 @@ impl EfSolver {
 
     /// A Spoiler winning line of length ≤ k (a sequence of moves such that
     /// after each, every Duplicator response loses against optimal play),
-    /// or `None` if Duplicator wins the k-round game.
+    /// or `None` if Duplicator wins the k-round game. Between moves,
+    /// Duplicator plays `salvage_response`; the line ends early
+    /// once no consistent response is left.
     pub fn spoiler_winning_line(&mut self, k: u32) -> Option<Vec<SpoilerMove>> {
         if self.equivalent(k) {
             return None;
         }
-        if !self.game.constants_consistent() {
-            return Some(Vec::new());
-        }
         let mut line = Vec::new();
-        let mut state: Vec<u64> = Vec::new();
-        let mut rounds = k;
-        'outer: while rounds > 0 {
-            for side in [Side::A, Side::B] {
-                for element in self.moves_on(side) {
-                    if self
-                        .best_response_packed(&state, side, element, rounds)
-                        .is_some()
-                    {
-                        continue;
-                    }
-                    line.push(SpoilerMove { side, element });
-                    // Extend the state with Duplicator's *least bad*
-                    // response that keeps the partial isomorphism if
-                    // any (otherwise Spoiler already won).
-                    match self.salvage_response(&state, side, element) {
-                        None => return Some(line),
-                        Some(r) => {
-                            let p = pack_pair(self.game.as_ab_pair(side, element, r));
-                            state = extended(&state, p);
-                            rounds -= 1;
-                            continue 'outer;
-                        }
-                    }
-                }
+        if !self.game.constants_consistent() {
+            return Some(line);
+        }
+        let mut state = self.game.constant_pairs.clone();
+        for rounds in (1..=k).rev() {
+            let (side, element) = self
+                .spoiler_move(&state, rounds, Side::A)
+                .expect("Spoiler has a winning move in every losing state");
+            line.push(SpoilerMove { side, element });
+            match self.salvage_response(&state, side, element) {
+                None => break,
+                Some(r) => state.push(self.game.as_ab_pair(side, element, r)),
             }
-            unreachable!("Spoiler must have a winning move in a losing state");
         }
         Some(line)
-    }
-
-    /// All Spoiler options on a side: every universe element plus ⊥
-    /// (unguided order; the winning-line reconstruction uses this so its
-    /// traces list moves in universe order).
-    fn moves_on(&self, side: Side) -> impl Iterator<Item = FactorId> {
-        let n = self.game.structure(side).universe_len() as u32;
-        (0..n)
-            .map(FactorId)
-            .chain(std::iter::once(FactorId::BOTTOM))
     }
 
     /// Number of distinct solver states computed so far (for benchmarks

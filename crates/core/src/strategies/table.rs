@@ -69,16 +69,8 @@ impl DuplicatorStrategy for TableStrategy {
         let mut solver = self.solver.lock().unwrap();
         let response = solver
             .best_response_from(&self.pairs, side, element, budget)
-            .or_else(|| {
-                // Losing position: salvage any consistent response.
-                let game = solver.game().clone();
-                let mut opts: Vec<FactorId> = game.structure(side.other()).universe().collect();
-                opts.push(FactorId::BOTTOM);
-                opts.into_iter().find(|&r| {
-                    let p = game.as_ab_pair(side, element, r);
-                    game.consistent(&self.pairs, p)
-                })
-            })
+            // Losing position: salvage any consistent response.
+            .or_else(|| solver.salvage_response(&self.pairs, side, element))
             .unwrap_or(FactorId::BOTTOM);
         let pair = solver.game().as_ab_pair(side, element, response);
         if !self.pairs.contains(&pair) {

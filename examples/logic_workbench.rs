@@ -6,6 +6,7 @@
 //! ```
 
 use fc_suite::games::certificate::distinguishing_sentence;
+use fc_suite::games::EfSolver;
 use fc_suite::logic::eval::{holds, satisfying_assignments, Assignment};
 use fc_suite::logic::normal_form::{to_nnf, to_prenex};
 use fc_suite::logic::parser::parse_formula;
@@ -57,7 +58,7 @@ fn main() {
     // 4. Certificates: an actual FC sentence separating two words, derived
     //    from Spoiler's winning strategy and verified by the model checker.
     for (w, v, k) in [("ab", "ba", 1u32), ("aaaa", "aaa", 2)] {
-        match distinguishing_sentence(w, v, k) {
+        match distinguishing_sentence(&mut EfSolver::of(w, v), k) {
             Some(cert) => {
                 let sw = FactorStructure::of_word(w);
                 let sv = FactorStructure::of_word(v);

@@ -37,6 +37,11 @@ cargo test -q --offline --release -p fc-games --test arith_diff
 echo "==> eval + structure perf smokes (phi_fib n = 4 member; succinct backend on |w| = 10^4; release, generous budgets)"
 cargo test -q --offline --release -p fc-logic --test perf_smoke -- --nocapture
 
+echo "==> examples (release; each must run to completion, so an API change that makes one panic fails here)"
+for example in quickstart game_explorer logic_workbench fooling_pairs unary_arithmetic spanner_pipeline; do
+  cargo run -q --offline --release --example "$example" > /dev/null
+done
+
 echo "==> fc serve smoke (ephemeral port, small loadgen replay, plan-cache hits, clean shutdown)"
 cargo build --release --offline -p fc-serve --bin fc-loadgen
 PORT_FILE="$(mktemp)"

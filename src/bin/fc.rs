@@ -32,6 +32,11 @@
 //! backend (default `auto`: dense up to |w| = 64, succinct beyond — see
 //! docs/STRUCTURE.md).
 //!
+//! Every command writes stdout through one fallible writer. When the
+//! reader closes stdout early (`fc game … | head -1`), `fc` stops at the
+//! next line quietly with exit status 0; any other write error prints
+//! `error: writing to stdout: …` and exits with status 1.
+//!
 //! Formula syntax: see `fc_logic::parser` — e.g.
 //! `fc check 'E x, y: x = y.y & !(E z1, z2: ((z1 = z2.x) | (z1 = x.z2)) & !(z2 = eps))' abab`
 
@@ -51,20 +56,35 @@ use fc_suite::reglang::{bounded, Dfa, Regex};
 use fc_suite::relations::languages;
 use fc_suite::serve::{Server, ServerConfig};
 use fc_suite::words::{Alphabet, Word};
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// `println!` that hands the write error back instead of panicking. Every
+/// line `fc` prints to stdout goes through it, so a reader that closes the
+/// pipe early (`fc game … | head -1`) stops the command quietly.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)
+    };
+}
+
+/// A command's failure: a message (a bad argument or a rejected input)
+/// or the `io::Error` of a stdout write.
+type CliError = Box<dyn std::error::Error>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let done = |r: Result<(), CliError>| r.map(|()| ExitCode::SUCCESS);
     let result = match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("solve") => cmd_solve(&args[1..]),
-        Some("lint") => return cmd_lint(&args[1..]),
-        Some("game") => cmd_game(&args[1..]),
-        Some("classes") => cmd_classes(&args[1..]),
-        Some("fooling") => cmd_fooling(&args[1..]),
-        Some("bounded") => cmd_bounded(&args[1..]),
-        Some("definable") => cmd_definable(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
+        Some("check") => done(cmd_check(&args[1..])),
+        Some("solve") => done(cmd_solve(&args[1..])),
+        Some("lint") => cmd_lint(&args[1..]),
+        Some("game") => done(cmd_game(&args[1..])),
+        Some("classes") => done(cmd_classes(&args[1..])),
+        Some("fooling") => done(cmd_fooling(&args[1..])),
+        Some("bounded") => done(cmd_bounded(&args[1..])),
+        Some("definable") => done(cmd_definable(&args[1..])),
+        Some("serve") => done(cmd_serve(&args[1..])),
         _ => {
             eprintln!(
                 "usage: fc <check|solve|lint|game|classes|fooling|bounded|definable|serve> …"
@@ -74,11 +94,19 @@ fn main() -> ExitCode {
         }
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Ok(code) => code,
+        Err(e) => match e.downcast_ref::<io::Error>() {
+            // The reader closed stdout and has everything it asked for.
+            Some(io) if io.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            Some(io) => {
+                eprintln!("error: writing to stdout: {io}");
+                ExitCode::FAILURE
+            }
+            None => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        },
     }
 }
 
@@ -163,7 +191,7 @@ fn build_structure(word: &str, backend: Option<BackendKind>) -> FactorStructure 
     }
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
+fn cmd_check(args: &[String]) -> Result<(), CliError> {
     let (pos, want_stats, backend) = split_stats_flag(args)?;
     let phi = lint_gate(pos.first().ok_or("missing argument: formula")?, true)?;
     let word = *pos.get(1).ok_or("missing argument: word")?;
@@ -171,18 +199,18 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let plan = Plan::compile(&phi);
     let mut stats = EvalStats::default();
     let verdict = plan.eval_with_stats(&s, &Assignment::new(), &mut stats);
-    println!(
+    out!(
         "{word} ⊨ φ ? {verdict}   (qr = {}, desugared qr = {})",
         phi.qr(),
         phi.qr_desugared()
-    );
+    )?;
     if want_stats {
-        println!("stats: {}", stats.render());
+        out!("stats: {}", stats.render())?;
     }
     Ok(())
 }
 
-fn cmd_solve(args: &[String]) -> Result<(), String> {
+fn cmd_solve(args: &[String]) -> Result<(), CliError> {
     let (pos, want_stats, backend) = split_stats_flag(args)?;
     let phi = lint_gate(pos.first().ok_or("missing argument: formula")?, false)?;
     let word = *pos.get(1).ok_or("missing argument: word")?;
@@ -190,31 +218,31 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     let plan = Plan::compile(&phi);
     let mut stats = EvalStats::default();
     let sols = plan.satisfying_assignments_with_stats(&s, &mut stats);
-    println!("⟦φ⟧({word}) has {} assignment(s):", sols.len());
+    out!("⟦φ⟧({word}) has {} assignment(s):", sols.len())?;
     for m in sols.iter().take(50) {
         let cells: Vec<String> = m
             .iter()
             .map(|(v, id)| format!("{v} ↦ {}", s.render(*id)))
             .collect();
-        println!("  {{{}}}", cells.join(", "));
+        out!("  {{{}}}", cells.join(", "))?;
     }
     if sols.len() > 50 {
-        println!("  … and {} more", sols.len() - 50);
+        out!("  … and {} more", sols.len() - 50)?;
     }
     if want_stats {
-        println!("stats: {}", stats.render());
+        out!("stats: {}", stats.render())?;
     }
     Ok(())
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let usage = |msg: &str| -> ExitCode {
+fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
+    let usage = |msg: &str| -> Result<ExitCode, CliError> {
         eprintln!("{msg}");
         eprintln!(
             "usage: fc lint '<formula>' [--json] [--deny-warnings] [--sentence] [--pure] \
              [--allow <CODE>] [--qr-budget <N>] [--fc2-budget <N>] [--no-semantic] [--rules]"
         );
-        ExitCode::from(2)
+        Ok(ExitCode::from(2))
     };
     let mut config = AnalysisConfig::default();
     let mut json = false;
@@ -258,17 +286,17 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         }
     }
     if show_rules {
-        println!("{:<6} {:<28} {:<8} summary", "code", "name", "severity");
+        out!("{:<6} {:<28} {:<8} summary", "code", "name", "severity")?;
         for r in analysis::rules() {
-            println!(
+            out!(
                 "{:<6} {:<28} {:<8} {}",
                 r.code,
                 r.name,
                 r.default_severity.as_str(),
                 r.summary.split_whitespace().collect::<Vec<_>>().join(" ")
-            );
+            )?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let Some(src) = formula else {
         return usage("missing formula argument");
@@ -277,28 +305,30 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     let (errors, warnings, notes) = analysis::counts(&diags);
     if json {
         let body: Vec<String> = diags.iter().map(analysis::Diagnostic::to_json).collect();
-        println!(
+        out!(
             "{{\"formula\":\"{}\",\"diagnostics\":[{}],\"counts\":{{\"error\":{errors},\"warning\":{warnings},\"note\":{notes}}}}}",
             analysis::json_escape(src),
             body.join(",")
-        );
+        )?;
     } else {
         for d in &diags {
-            println!("{}", d.render_human(Some(src)));
+            out!("{}", d.render_human(Some(src)))?;
         }
-        println!(
+        out!(
             "{} error(s), {} warning(s), {} note(s)",
-            errors, warnings, notes
-        );
+            errors,
+            warnings,
+            notes
+        )?;
     }
-    if errors > 0 || (deny_warnings && warnings > 0) {
+    Ok(if errors > 0 || (deny_warnings && warnings > 0) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn cmd_game(args: &[String]) -> Result<(), String> {
+fn cmd_game(args: &[String]) -> Result<(), CliError> {
     let mut pos: Vec<&str> = Vec::new();
     let mut fast = false;
     let mut show_stats = false;
@@ -306,7 +336,7 @@ fn cmd_game(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--fast" => fast = true,
             "--stats" => show_stats = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'").into()),
             other => pos.push(other),
         }
     }
@@ -328,28 +358,29 @@ fn cmd_game(args: &[String]) -> Result<(), String> {
     }
     let verdict = solver.equivalent_auto(k);
     let stats = solver.stats();
-    println!(
+    out!(
         "{w} ≡_{k} {v} ? {verdict}   ({} states explored, {} memo hits, {} moves pruned, {:.3?} wall)",
         solver.states_explored(),
         stats.memo_hits,
         stats.pruned_moves,
         stats.wall
-    );
+    )?;
     if show_stats {
         if let Some((cw, cv)) = fc_suite::games::canon::canonical_pair(w.as_bytes(), v.as_bytes()) {
-            println!(
+            out!(
                 "  canonical pair: {} / {}",
                 String::from_utf8_lossy(&cw),
                 String::from_utf8_lossy(&cv)
-            );
+            )?;
         }
-        println!(
+        out!(
             "  solver table probes: {} hits, {} misses",
-            stats.table_hits, stats.table_misses
-        );
+            stats.table_hits,
+            stats.table_misses
+        )?;
         if let Some(table) = solver.shared_table() {
             let t = table.stats();
-            println!(
+            out!(
                 "  shared table: {} inserts, {} hits, {} misses, {} evictions, {} slots, {} bytes",
                 t.inserts,
                 t.hits,
@@ -357,31 +388,33 @@ fn cmd_game(args: &[String]) -> Result<(), String> {
                 t.evictions,
                 t.capacity,
                 table.bytes()
-            );
+            )?;
         }
     }
     if !verdict {
         if let Some(line) = solver.spoiler_winning_line(k) {
-            println!("Spoiler winning line:");
+            out!("Spoiler winning line:")?;
             for (i, mv) in line.iter().enumerate() {
                 let (side, word) = match mv.side {
                     Side::A => ("A", solver.game().a.render(mv.element)),
                     Side::B => ("B", solver.game().b.render(mv.element)),
                 };
-                println!("  round {}: pick {side}:{word}", i + 1);
+                out!("  round {}: pick {side}:{word}", i + 1)?;
             }
         }
         if let Some(min_k) = solver.distinguishing_rounds(k) {
-            if let Some(phi) = fc_suite::games::certificate::distinguishing_sentence(w, v, min_k) {
+            if let Some(phi) =
+                fc_suite::games::certificate::distinguishing_sentence(&mut solver, min_k)
+            {
                 let printed = phi.to_string();
                 if printed.len() <= 400 {
-                    println!("certificate (qr ≤ {min_k}): {printed}");
+                    out!("certificate (qr ≤ {min_k}): {printed}")?;
                 } else {
-                    println!(
+                    out!(
                         "certificate (qr ≤ {min_k}): {} … ({} chars)",
                         &printed.chars().take(200).collect::<String>(),
                         printed.len()
-                    );
+                    )?;
                 }
             }
         }
@@ -395,7 +428,7 @@ fn cmd_game(args: &[String]) -> Result<(), String> {
 /// back to the solver. This is the one entry point that deliberately pays
 /// for the rank-3 unary table build (seconds to minutes; every later
 /// `--fast` call in the process reuses it).
-fn game_fast(w: &str, v: &str, k: u32) -> Result<bool, String> {
+fn game_fast(w: &str, v: &str, k: u32) -> Result<bool, CliError> {
     use fc_suite::games::arith::{ArithOracle, ArithRoute};
     use fc_suite::games::batch::periodic_table_builder;
     use fc_suite::words::primitive_root;
@@ -420,66 +453,66 @@ fn game_fast(w: &str, v: &str, k: u32) -> Result<bool, String> {
             s
         }
     }
-    println!(
+    out!(
         "{} ≡_{k} {} ? {}   (arithmetic route, {:.3?} wall)",
         show(w),
         show(v),
         verdict.equivalent,
         t0.elapsed()
-    );
+    )?;
     match verdict.route {
-        ArithRoute::Equal => println!("certificate: the words are identical"),
+        ArithRoute::Equal => out!("certificate: the words are identical")?,
         ArithRoute::Unary => {
             let table = oracle
                 .unary_table_ready(k)
                 .expect("unary route implies a cached table");
             let cert = table.certificate();
             if table.classes.len() <= 32 {
-                println!("{cert}");
+                out!("{cert}")?;
             } else {
                 // Hundreds of classes at k = 3: keep the header and the
                 // two classes the verdict actually compared.
                 let mut lines = cert.lines();
-                println!("{}", lines.next().unwrap_or_default());
+                out!("{}", lines.next().unwrap_or_default())?;
                 let (p, q) = (w.len() as u64, v.len() as u64);
                 let (cp, cq) = (table.class_index(p), table.class_index(q));
                 for (i, line) in lines.enumerate() {
                     if i as u32 == cp || i as u32 == cq {
-                        println!("{line}");
+                        out!("{line}")?;
                     }
                 }
-                println!(
+                out!(
                     "  ({} further classes elided; the full table is `UnaryClassTable::certificate()`)",
                     table.classes.len() - if cp == cq { 1 } else { 2 }
-                );
+                )?;
             }
         }
-        ArithRoute::RootRankZero => println!(
+        ArithRoute::RootRankZero => out!(
             "certificate: same primitive root ⇒ same occurring symbols, and rank 0 only \
              compares the constant seeds"
-        ),
+        )?,
         ArithRoute::Periodic => {
             let (root, _) = primitive_root(w.as_bytes());
             let table = oracle
                 .periodic_table_cached(k, &root)
                 .expect("periodic route implies a cached table");
-            println!(
+            out!(
                 "certificate: exponent table for root {root}, solver-classified on 0..={}",
                 table.window
-            );
+            )?;
             match table.tail {
-                Some((t, p)) => println!("  tail: periodic with threshold {t}, period {p}"),
-                None => println!("  tail: not yet stable inside the window"),
+                Some((t, p)) => out!("  tail: periodic with threshold {t}, period {p}")?,
+                None => out!("  tail: not yet stable inside the window")?,
             }
             if let Some((p, q)) = table.minimal_pair() {
-                println!("  minimal pair: {root}^{p} ≡_{k} {root}^{q}");
+                out!("  minimal pair: {root}^{p} ≡_{k} {root}^{q}")?;
             }
         }
     }
     Ok(true)
 }
 
-fn cmd_classes(args: &[String]) -> Result<(), String> {
+fn cmd_classes(args: &[String]) -> Result<(), CliError> {
     let k: u32 = need(args, 0, "k")?
         .parse()
         .map_err(|_| "k must be a number".to_string())?;
@@ -487,16 +520,16 @@ fn cmd_classes(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "limit must be a number".to_string())?;
     let classes = pow2::unary_classes(k, limit);
-    println!("≡_{k} classes of a^0 .. a^{limit}:");
-    println!("{}", pow2::render_classes(&classes));
+    out!("≡_{k} classes of a^0 .. a^{limit}:")?;
+    out!("{}", pow2::render_classes(&classes))?;
     match pow2::minimal_unary_pair(k, limit) {
-        Some((p, q)) => println!("minimal pair: a^{p} ≡_{k} a^{q}"),
-        None => println!("no pair with exponents ≤ {limit}"),
+        Some((p, q)) => out!("minimal pair: a^{p} ≡_{k} a^{q}")?,
+        None => out!("no pair with exponents ≤ {limit}")?,
     }
     Ok(())
 }
 
-fn cmd_fooling(args: &[String]) -> Result<(), String> {
+fn cmd_fooling(args: &[String]) -> Result<(), CliError> {
     let name = need(args, 0, "language (anbn|L1..L6)")?;
     let k: u32 = need(args, 1, "k")?
         .parse()
@@ -509,16 +542,16 @@ fn cmd_fooling(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("unknown language {name}; try anbn, L1, …, L6"))?;
     match lang.fooling_pair(k, limit) {
         Some(pair) => {
-            println!("inside  (∈ {}): {}", lang.name, pair.inside);
-            println!("outside (∉ {}): {}", lang.name, pair.outside);
-            println!("solver-confirmed ≡_{k}; exponents {:?}", pair.exponents);
+            out!("inside  (∈ {}): {}", lang.name, pair.inside)?;
+            out!("outside (∉ {}): {}", lang.name, pair.outside)?;
+            out!("solver-confirmed ≡_{k}; exponents {:?}", pair.exponents)?;
             Ok(())
         }
-        None => Err(format!("no rank-{k} fooling pair with exponents ≤ {limit}")),
+        None => Err(format!("no rank-{k} fooling pair with exponents ≤ {limit}").into()),
     }
 }
 
-fn cmd_bounded(args: &[String]) -> Result<(), String> {
+fn cmd_bounded(args: &[String]) -> Result<(), CliError> {
     let pattern = need(args, 0, "regex")?;
     let re = Regex::parse(pattern)?;
     let mut alpha = re.symbols();
@@ -533,28 +566,28 @@ fn cmd_bounded(args: &[String]) -> Result<(), String> {
             .filter(|w| !w.is_empty())
             .map(|w| format!("{w}*"))
             .collect();
-        println!("L({pattern}) is BOUNDED");
+        out!("L({pattern}) is BOUNDED")?;
         if rendered.len() <= 24 {
-            println!("witness: {}", rendered.join("·"));
+            out!("witness: {}", rendered.join("·"))?;
         } else {
-            println!(
+            out!(
                 "witness: {}· … ({} factors)",
                 rendered[..8].join("·"),
                 rendered.len()
-            );
+            )?;
         }
     } else {
-        println!("L({pattern}) is UNBOUNDED");
+        out!("L({pattern}) is UNBOUNDED")?;
     }
     // Also enumerate a few members for orientation.
     let members = fc_suite::reglang::enumerate::enumerate_dfa(&dfa, 5);
     let names: Vec<String> = members.iter().take(12).map(Word::to_string).collect();
-    println!("members up to length 5: {}", names.join(", "));
+    out!("members up to length 5: {}", names.join(", "))?;
     let _ = Alphabet::ab();
     Ok(())
 }
 
-fn cmd_definable(args: &[String]) -> Result<(), String> {
+fn cmd_definable(args: &[String]) -> Result<(), CliError> {
     let mut pattern: Option<&str> = None;
     let mut budget = DefinabilityBudget::default();
     let mut it = args.iter();
@@ -562,12 +595,12 @@ fn cmd_definable(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--budget" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => budget = DefinabilityBudget::with_states(n),
-                None => return Err("--budget needs a number".to_string()),
+                None => return Err("--budget needs a number".into()),
             },
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'").into()),
             src => {
                 if pattern.replace(src).is_some() {
-                    return Err("expected exactly one regex argument".to_string());
+                    return Err("expected exactly one regex argument".into());
                 }
             }
         }
@@ -580,44 +613,44 @@ fn cmd_definable(args: &[String]) -> Result<(), String> {
     }
     match fc_definable_regex(&re, &alpha, &budget) {
         FcDefinability::Definable(expr) => {
-            println!("L({pattern}) is FC-DEFINABLE");
-            println!("witness: {expr}");
+            out!("L({pattern}) is FC-DEFINABLE")?;
+            out!("witness: {expr}")?;
             let phi = definable_to_fc("x", &expr, &alpha);
             let printed = phi.to_string();
             if printed.len() <= 400 {
-                println!("FC sentence for x: {printed}");
+                out!("FC sentence for x: {printed}")?;
             } else {
-                println!(
+                out!(
                     "FC sentence for x: {} … ({} chars)",
                     printed.chars().take(200).collect::<String>(),
                     printed.len()
-                );
+                )?;
             }
         }
         FcDefinability::NotDefinable(ob) => {
-            println!("L({pattern}) is NOT FC-DEFINABLE");
-            println!("obstruction: {}", ob.describe());
-            println!("separating family (i, word, accepted):");
+            out!("L({pattern}) is NOT FC-DEFINABLE")?;
+            out!("obstruction: {}", ob.describe())?;
+            out!("separating family (i, word, accepted):")?;
             for (i, (w, acc)) in ob.separating_family(2).into_iter().enumerate() {
                 let shown = if w.is_empty() {
                     "ε".to_string()
                 } else {
                     w.to_string()
                 };
-                println!("  i={i}: {shown}  {}", if acc { "∈ L" } else { "∉ L" });
+                out!("  i={i}: {shown}  {}", if acc { "∈ L" } else { "∉ L" })?;
             }
         }
         FcDefinability::Inconclusive(why) => {
-            println!("L({pattern}) is INCONCLUSIVE within budget");
+            out!("L({pattern}) is INCONCLUSIVE within budget")?;
             match why {
-                Inconclusive::BudgetExceeded { states, budget } => println!(
+                Inconclusive::BudgetExceeded { states, budget } => out!(
                     "minimal DFA has {states} states, exceeding the budget of {budget}; \
                      raise --budget"
-                ),
-                Inconclusive::Unresolved => println!(
+                )?,
+                Inconclusive::Unresolved => out!(
                     "the language lies outside the witness class and no permutation \
                      obstruction was found — the oracle never guesses"
-                ),
+                )?,
             }
         }
     }
@@ -630,7 +663,7 @@ fn cmd_definable(args: &[String]) -> Result<(), String> {
 /// with an ephemeral `--addr 127.0.0.1:0`) is written to the given path
 /// once the socket is bound — scripts wait on that file instead of racing
 /// the bind.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut config = ServerConfig::default();
     let mut port_file: Option<&str> = None;
     let mut it = args.iter();
@@ -641,26 +674,28 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             "--workers" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => config.workers = n,
-                None => return Err("--workers needs a number".to_string()),
+                None => return Err("--workers needs a number".into()),
             },
             "--plan-cache" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => config.engine.plan_cache_capacity = n,
-                None => return Err("--plan-cache needs a number".to_string()),
+                None => return Err("--plan-cache needs a number".into()),
             },
             "--port-file" => {
                 port_file = Some(it.next().ok_or("--port-file needs a path")?);
             }
-            other => return Err(format!("unknown argument '{other}'")),
+            other => return Err(format!("unknown argument '{other}'").into()),
         }
     }
     let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.local_addr();
-    println!(
+    out!(
         "fc-serve listening on {addr} ({} workers)",
         server.worker_count()
-    );
+    )?;
     if let Some(path) = port_file {
         std::fs::write(path, format!("{addr}\n")).map_err(|e| format!("writing {path}: {e}"))?;
     }
-    server.run().map_err(|e| format!("serve failed: {e}"))
+    server
+        .run()
+        .map_err(|e| format!("serve failed: {e}").into())
 }

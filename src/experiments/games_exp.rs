@@ -415,7 +415,7 @@ pub fn e22_certificates(effort: Effort) -> ExperimentReport {
         ],
     };
     for (w, v, k) in pairs {
-        match distinguishing_sentence(w, v, k) {
+        match distinguishing_sentence(&mut EfSolver::of(w, v), k) {
             Some(phi) => {
                 let sigma = fc_words::Alphabet::ab();
                 let sw = FactorStructure::of_str(w, &sigma);
@@ -436,7 +436,7 @@ pub fn e22_certificates(effort: Effort) -> ExperimentReport {
     }
     // Equivalent pairs yield no certificate.
     rep.check(
-        distinguishing_sentence(&"a".repeat(12), &"a".repeat(14), 2).is_none(),
+        distinguishing_sentence(&mut EfSolver::of(&"a".repeat(12), &"a".repeat(14)), 2).is_none(),
         "no rank-2 certificate for the equivalent pair a¹² / a¹⁴ (as required)",
     );
     rep

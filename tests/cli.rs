@@ -1,6 +1,6 @@
 //! End-to-end tests of the `fc` command-line binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn fc(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_fc"))
@@ -68,6 +68,23 @@ fn game_command_reports_verdict_and_certificate() {
         ),
         "{stdout}"
     );
+}
+
+#[test]
+fn closed_stdout_stops_quietly() {
+    // The read end is closed before the child starts, so its first line
+    // already meets a broken pipe: no panic, no message, exit status 0.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_fc"))
+        .args(["game", "abab", "baba", "2"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn fc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "{stderr}");
+    assert_eq!(out.status.code(), Some(0));
 }
 
 #[test]
