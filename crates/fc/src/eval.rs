@@ -25,7 +25,7 @@
 //! a dropped/reallocated `Rc` could alias a stale key.
 
 use crate::formula::{Formula, Term, VarName};
-use crate::plan::{Plan, PlanCache};
+use crate::plan::Plan;
 use crate::structure::{FactorId, FactorStructure};
 use fc_reglang::{Dfa, Regex};
 use std::collections::{BTreeMap, HashMap};
@@ -44,30 +44,6 @@ pub fn holds(formula: &Formula, structure: &FactorStructure, sigma: &Assignment)
 /// that satisfy the formula, in lexicographic order of the assignment.
 pub fn satisfying_assignments(formula: &Formula, structure: &FactorStructure) -> Vec<Assignment> {
     Plan::compile(formula).satisfying_assignments(structure)
-}
-
-/// [`holds`] routed through a shared [`PlanCache`]: the formula compiles
-/// at most once per structural key for the cache's whole lifetime. This is
-/// the entry point long-lived engines (`fc serve`) use instead of the
-/// compile-per-call wrapper above.
-pub fn holds_cached(
-    cache: &PlanCache,
-    formula: &Formula,
-    structure: &FactorStructure,
-    sigma: &Assignment,
-) -> bool {
-    cache.get_or_compile(formula).eval(structure, sigma)
-}
-
-/// [`satisfying_assignments`] routed through a shared [`PlanCache`].
-pub fn satisfying_assignments_cached(
-    cache: &PlanCache,
-    formula: &Formula,
-    structure: &FactorStructure,
-) -> Vec<Assignment> {
-    cache
-        .get_or_compile(formula)
-        .satisfying_assignments(structure)
 }
 
 /// Reference semantics: a direct transcription of Definition 2.2 with

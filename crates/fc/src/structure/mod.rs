@@ -12,9 +12,9 @@
 //! How the universe and `R∘` are *represented* is a [`FactorBackend`]
 //! choice (see `docs/STRUCTURE.md`):
 //!
-//! - [`dense::DenseBackend`] materializes every factor and an m×m concat
-//!   table — O(1) probes, Θ(m²) memory, the right trade for the game-sized
-//!   words (|w| ≲ 10²) the EF solver plays on;
+//! - [`dense::DenseBackend`] stores every factor as a span of `w` plus an
+//!   m×m concat table — O(1) probes, Θ(m²) memory, the right trade for the
+//!   game-sized words (|w| ≲ 10²) the EF solver plays on;
 //! - [`succinct::SuccinctBackend`] stores only the suffix automaton of `w`
 //!   (O(|w|) states) and resolves probes by automaton traversal — the only
 //!   viable representation at |w| = 10⁴–10⁵, where m = |Facs(w)| is Θ(|w|²).

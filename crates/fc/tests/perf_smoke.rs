@@ -48,6 +48,57 @@ fn phi_fib_accepts_the_n4_member_within_budget() {
 }
 
 #[test]
+fn dense_build_stays_linear_in_the_table() {
+    if cfg!(debug_assertions) {
+        eprintln!("dense build perf smoke skipped in debug build (run with --release)");
+        return;
+    }
+    // Tripwire for `DenseBackend::build`: all 4,096 words of {a,b}^12 and
+    // 500 seeded random 40-letter words over {a,b,c}. The budget is ~20×
+    // the measured time; a return to hashing owned factors or probing an
+    // interner per split would not blow it, but a super-cubic build would.
+    let budget = Duration::from_secs(2);
+    let sigma = Alphabet::abc();
+    let mut words: Vec<Word> = (0u32..1 << 12)
+        .map(|bits| {
+            let bytes: Vec<u8> = (0..12)
+                .map(|i| if bits >> i & 1 == 0 { b'a' } else { b'b' })
+                .collect();
+            Word::from(bytes.as_slice())
+        })
+        .collect();
+    let mut seed = 0x9e3779b97f4a7c15u64;
+    for _ in 0..500 {
+        let bytes: Vec<u8> = (0..40)
+            .map(|_| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                b"abc"[(seed >> 33) as usize % 3]
+            })
+            .collect();
+        words.push(Word::from(bytes.as_slice()));
+    }
+
+    let t = Instant::now();
+    let mut factors = 0usize;
+    for w in &words {
+        let s = FactorStructure::with_backend(w.clone(), &sigma, BackendKind::Dense);
+        factors += s.universe_len();
+    }
+    let total = t.elapsed();
+    eprintln!(
+        "dense build perf smoke: {} structures, {factors} factors, total {total:.2?}, \
+         {:.1} µs per structure",
+        words.len(),
+        total.as_secs_f64() * 1e6 / words.len() as f64
+    );
+    assert!(
+        total < budget,
+        "dense build of {} words took {total:?} (budget {budget:?})",
+        words.len()
+    );
+}
+
+#[test]
 fn succinct_backend_scales_to_ten_thousand_letters() {
     if cfg!(debug_assertions) {
         eprintln!("structure perf smoke skipped in debug build (run with --release)");

@@ -46,6 +46,9 @@ pub fn factor_set(w: &[u8]) -> HashSet<Word> {
 }
 
 /// The distinct factors of `w`, sorted by (length, lexicographic).
+///
+/// This is the reference for the id order of fc-logic's dense factor
+/// structure: its ids enumerate exactly this vector, ε at id 0.
 pub fn factors_of(w: &[u8]) -> Vec<Word> {
     let mut v: Vec<Word> = factor_set(w).into_iter().collect();
     v.sort_by(|a, b| (a.len(), a.bytes()).cmp(&(b.len(), b.bytes())));

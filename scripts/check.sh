@@ -25,6 +25,10 @@ cargo test -q --offline --release -p fc-serve
 echo "==> planner suites (fc-logic lib + plan_diff differential + FC[REG] proptests; release)"
 cargo test -q --offline --release -p fc-logic --lib --test plan_diff --test prop
 
+echo "==> language, relation and spanner suites (fc-reglang, fc-relations, fc-spanners lib + proptests; fc-logic analysis corpus; release)"
+cargo test -q --offline --release -p fc-reglang -p fc-relations -p fc-spanners
+cargo test -q --offline --release -p fc-logic --test analysis_corpus
+
 echo "==> solver perf smokes (E08 confirmation + batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires, release, generous budgets)"
 cargo test -q --offline --release -p fc-games --test perf_smoke -- --nocapture --skip pr10_
 
@@ -34,7 +38,7 @@ cargo test -q --offline --release -p fc-games --test perf_smoke pr10_ -- --nocap
 echo "==> arith-tier acceptance grid (u^p vs u^q, |u| <= 3, p,q <= 20, k <= 2, release; debug builds run the reduced grid in tier-1)"
 cargo test -q --offline --release -p fc-games --test arith_diff
 
-echo "==> eval + structure perf smokes (phi_fib n = 4 member; succinct backend on |w| = 10^4; release, generous budgets)"
+echo "==> eval + structure perf smokes (phi_fib n = 4 member; dense build of {a,b}^12 + 500 random 40-letter words; succinct backend on |w| = 10^4; release, generous budgets)"
 cargo test -q --offline --release -p fc-logic --test perf_smoke -- --nocapture
 
 echo "==> examples (release; each must run to completion, so an API change that makes one panic fails here)"
