@@ -84,8 +84,9 @@ pub struct StructureArena {
     structures: Vec<OnceLock<Arc<FactorStructure>>>,
     fingerprints: Vec<OnceLock<Fingerprint>>,
     /// Lazily-memoized rank-2 type profiles (see
-    /// [`crate::fingerprint::rank2_type_profile`]): O(|U|²) per word, so
-    /// only computed for words whose pairs actually survive the cheap
+    /// [`crate::fingerprint::rank2_type_profile`]): O(|U|) related-move
+    /// probes per word, still dearer than the fingerprint, so only
+    /// computed for words whose pairs actually survive the cheap
     /// fingerprint layers.
     rank2: Vec<OnceLock<u64>>,
     /// `(primitive root, exponent)` per word, computed at intern (O(|w|)
@@ -193,9 +194,8 @@ impl StructureArena {
     }
 
     /// The word's rank-2 type profile, computed on first request and
-    /// memoized; `None` above the `cap` on universe size (the O(|U|²)
-    /// pass would cost more than the games it could save on long words —
-    /// see [`BatchConfig::rank2_universe_cap`]).
+    /// memoized; `None` above the `cap` on universe size (see
+    /// [`BatchConfig::rank2_universe_cap`]).
     pub fn rank2_profile(&self, id: WordId, cap: usize) -> Option<u64> {
         let s = self.structure(id);
         if s.universe_len() > cap {
@@ -322,11 +322,12 @@ pub struct BatchConfig {
     /// Consult the lazily-memoized rank-2 type profile of words whose
     /// universe has at most this many elements; `None` turns the tier
     /// off (the default). Sound at every rank ≥ 2 and never changes
-    /// verdicts, but the O(|U|²) per-word pass only *pays* when individual
-    /// games are expensive relative to the window: small-word window
-    /// classifies keep it off, the unary scans and periodic tables use
-    /// [`TYPE2_UNIVERSE_CAP`], and the fooling searches (E08/E09), whose
-    /// saved games are far dearer, use 512.
+    /// verdicts. The per-word pass probes each element's few related
+    /// second moves (O(|U|) per word, not |U|²); the caps choose which
+    /// words it runs on: small-word window classifies keep it off, the
+    /// unary scans and periodic tables use [`TYPE2_UNIVERSE_CAP`], and the
+    /// fooling searches (E08/E09), whose saved games are far dearer, use
+    /// 512. The caps predate the O(|U|) pass and were not re-tuned for it.
     pub rank2_universe_cap: Option<usize>,
     /// Consult the arithmetic oracle ([`ArithOracle`]) before any
     /// structure or fingerprint exists: unary pairs `aᵖ` vs `a^q` (rank-3

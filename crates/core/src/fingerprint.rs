@@ -52,12 +52,17 @@
 //! types coincide, and by `≡_k ⊆ ≡_2` the profile is an invariant for
 //! every `k ≥ 2`. This is the component that refutes inequivalent unary
 //! pairs like `a⁵ ≢₂ a⁹`, which letter/type1/factor profiles cannot see.
-//! Because it costs O(|U|²) per word — more than a small window game, far
-//! less than a long-word game — it is not part of the eagerly-built
-//! `Fingerprint`: [`crate::batch::StructureArena`] memoizes it lazily,
-//! only for words that survive the cheap layers, and only under the
-//! batch's universe cap ([`crate::batch::BatchConfig::rank2_universe_cap`],
-//! usually [`TYPE2_UNIVERSE_CAP`]).
+//! Its definition ranges over all |U|² pairs of moves, but only a handful
+//! of second moves share an atom with a given first move (x itself, ε,
+//! x shortened or extended by one letter, x·x and √x); every other pair
+//! has the all-false code, which depends on the second move's one-move
+//! mask alone. So it costs O(|U|·(|R| + d)) probes per word, for that
+//! related set R and `d` distinct masks (see [`rank2_type_profile`]).
+//! It is still not part of the eagerly-built `Fingerprint`:
+//! [`crate::batch::StructureArena`] memoizes it lazily, only for words
+//! that survive the cheap layers, and only under the batch's universe cap
+//! ([`crate::batch::BatchConfig::rank2_universe_cap`], usually
+//! [`TYPE2_UNIVERSE_CAP`]).
 //!
 //! Note what is deliberately **absent**: raw length and per-letter Parikh
 //! counts are *not* ≡_k-invariants (`a³ ≡₁ a⁴` is the paper's minimal
@@ -78,18 +83,18 @@
 //! [`crate::batch::StructureArena`] guarantees this by construction.
 
 use crate::partial_iso::SeedTypes;
-use fc_logic::FactorStructure;
+use fc_logic::{FactorId, FactorStructure};
 
 /// Highest factor-set truncation level the fingerprint stores. Ranks with
 /// `k + 1 > FACTOR_LEVEL_CAP` compare at the cap (still sound — a coarser
 /// invariant refutes less, never more).
 pub const FACTOR_LEVEL_CAP: usize = 8;
 
-/// Universe-size cap for the rank-2 type profile. The profile costs
-/// O(|U|²) per word, which is negligible for scan-sized universes but
-/// would dominate a long fooling word's intern-plus-solve budget; the
-/// arena never computes the profile above the cap (still sound — a
-/// missing invariant only weakens the filter).
+/// Universe-size cap for the rank-2 type profile in the batches whose
+/// games are cheap (the unary scans and periodic tables). The profile
+/// costs O(|U|) related-move probes per word ([`rank2_type_profile`]);
+/// the arena never computes it above the cap (still sound — a missing
+/// invariant only weakens the filter).
 pub const TYPE2_UNIVERSE_CAP: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -213,33 +218,64 @@ impl Fingerprint {
     }
 }
 
+/// Folds a bit sequence, 64 bits per FNV step, so any length is safe.
+fn fold_bits(bits: impl Iterator<Item = bool>) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut word = 0u64;
+    let mut nbits = 0u32;
+    for bit in bits {
+        word = (word << 1) | u64::from(bit);
+        nbits += 1;
+        if nbits == 64 {
+            h = fnv_u64(h, word);
+            word = 0;
+            nbits = 0;
+        }
+    }
+    fnv_u64(h, word ^ u64::from(nbits))
+}
+
 /// Folds the truth bits of the atom triples in `tris` (term index 0 = `x`,
-/// 1 = `y`, ≥ 2 = constants), chunked so any triple count is safe.
+/// 1 = `y`, ≥ 2 = constants).
 fn fold_triples(
     s: &FactorStructure,
-    consts: &[fc_logic::FactorId],
+    consts: &[FactorId],
     tris: &[(u8, u8, u8)],
-    x: fc_logic::FactorId,
-    y: fc_logic::FactorId,
+    x: FactorId,
+    y: FactorId,
 ) -> u64 {
     let term = |i: u8| match i {
         0 => x,
         1 => y,
         _ => consts[i as usize - 2],
     };
-    let mut h = FNV_OFFSET;
-    let mut bits = 0u64;
-    let mut nbits = 0u32;
-    for &(l, i, j) in tris {
-        bits = (bits << 1) | u64::from(s.concat_holds(term(l), term(i), term(j)));
-        nbits += 1;
-        if nbits == 64 {
-            h = fnv_u64(h, bits);
-            bits = 0;
-            nbits = 0;
-        }
+    fold_bits(
+        tris.iter()
+            .map(|&(l, i, j)| s.concat_holds(term(l), term(i), term(j))),
+    )
+}
+
+/// The second moves `y` that share an atom with `x ∉ {ε, ⊥}`, or equal it
+/// (see [`rank2_type_profile`]): `x`, `ε`, `x` minus its last or first
+/// letter, `x·a` and `a·x` for each letter constant `a`, `x·x`, and `√x`
+/// when `x` is a square — those that are factors, each once.
+fn related_moves(s: &FactorStructure, consts: &[FactorId], x: FactorId, out: &mut Vec<FactorId>) {
+    out.clear();
+    let bytes = s.bytes_of(x);
+    let n = bytes.len();
+    out.extend([x, s.epsilon()]);
+    out.extend(s.id_of(&bytes[..n - 1]));
+    out.extend(s.id_of(&bytes[1..]));
+    for &c in consts {
+        out.extend(s.concat_id(x, c));
+        out.extend(s.concat_id(c, x));
     }
-    fnv_u64(h, bits ^ u64::from(nbits))
+    out.extend(s.concat_id(x, x));
+    if n.is_multiple_of(2) && bytes[..n / 2] == bytes[n / 2..] {
+        out.extend(s.id_of(&bytes[..n / 2]));
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// The rank-2 type profile (see the module docs): the folded set of
@@ -255,9 +291,22 @@ fn fold_triples(
 /// The atom triples split by which moves they mention: constant-only
 /// triples are already forced by the letter profile (checked first in
 /// [`Fingerprint::refutes`]) and are dropped; x-only and y-only triples
-/// are precomputed once per element; only the triples mentioning *both*
-/// moves — O(nterms) many of the nterms³ — are evaluated per pair,
-/// keeping the whole profile near-quadratic instead of cubic.
+/// are folded once per element into the masks `mask_x`, `mask_y`; only
+/// the 6|C| + 6 triples mentioning *both* moves depend on the pair.
+///
+/// **Few pairs need probing.** For `x ∉ {ε, ⊥}` each of those pair atoms
+/// (`x = y·c`, `x = c·y`, `y = x·c`, `y = c·x`, `c = x·y`, `c = y·x`,
+/// `x = x·y`, `x = y·x`, `y = x·x`, `x = y·y`, `y = y·x`, `y = x·y`), and
+/// the equality bit, can hold only for `y` in the small set R(x) of
+/// [`related_moves`]: ε, `x` itself, `x` shortened or extended by one
+/// letter, `x·x` and `√x` (`|c| ≤ 1` and `|x| ≥ 1` rule out the rest).
+/// Every other `y`, ⊥ included, gets the all-false code, which depends
+/// on `mask_y[y]` alone. So the row of `x` is the exact codes of R(x) plus
+/// one all-false code per distinct `mask_y` value still realised outside
+/// R(x): O(|R| + d) work per element for `d` distinct masks, O(|U|·(|R| +
+/// d)) per word instead of |U|² pair folds. The ε and ⊥ rows keep the
+/// full loop (`y ≐ y·ε` relates ε to every element): |U| + 1 pair folds
+/// each.
 ///
 /// Both move loops range over `U ∪ {⊥}` — Spoiler may play ⊥ in either
 /// round, and the ⊥ expansion matches only ⊥ expansions across words
@@ -269,10 +318,18 @@ fn fold_triples(
 /// to gate on [`TYPE2_UNIVERSE_CAP`]; the computation itself has no cap.
 pub fn rank2_type_profile(s: &FactorStructure) -> u64 {
     let consts = &s.constants_vector();
-    let elems: Vec<fc_logic::FactorId> = s
+    let elems: Vec<FactorId> = s
         .universe()
-        .chain(std::iter::once(fc_logic::FactorId::BOTTOM))
+        .chain(std::iter::once(FactorId::BOTTOM))
         .collect();
+    // Row index of an element: ids are dense, ⊥ comes last.
+    let row = |e: FactorId| {
+        if e.is_bottom() {
+            elems.len() - 1
+        } else {
+            e.0 as usize
+        }
+    };
     let nterms = consts.len() + 2;
 
     let (mut tri_x, mut tri_y, mut tri_xy) = (Vec::new(), Vec::new(), Vec::new());
@@ -302,24 +359,57 @@ pub fn rank2_type_profile(s: &FactorStructure) -> u64 {
         .map(|&e| fold_triples(s, consts, &tri_y, e, e))
         .collect();
 
+    let code = |xi: usize, equal: bool, my: u64, pair: u64| {
+        let h = fnv_u64(FNV_OFFSET, u64::from(equal));
+        fnv_u64(fnv_u64(fnv_u64(h, mask_x[xi]), my), pair)
+    };
+    let exact = |x: FactorId, y: FactorId| {
+        let pair = fold_triples(s, consts, &tri_xy, x, y);
+        code(row(x), x == y, mask_y[row(y)], pair)
+    };
+    let all_false = fold_bits(tri_xy.iter().map(|_| false));
+
+    // The distinct `mask_y` values and how many elements realise each.
+    let mut masks = mask_y.clone();
+    masks.sort_unstable();
+    masks.dedup();
+    let class: Vec<usize> = mask_y
+        .iter()
+        .map(|m| masks.binary_search(m).expect("every mask is listed"))
+        .collect();
+    let mut outside = vec![0usize; masks.len()];
+    for &c in &class {
+        outside[c] += 1;
+    }
+
+    let mut related = Vec::new();
+    let mut vecs = Vec::new();
     let mut expansion_types: Vec<u64> = elems
         .iter()
         .enumerate()
         .map(|(xi, &x)| {
-            let mut vecs: Vec<u64> = elems
-                .iter()
-                .enumerate()
-                .map(|(yi, &y)| {
-                    let mut h = fnv_u64(FNV_OFFSET, u64::from(x == y));
-                    h = fnv_u64(h, mask_x[xi]);
-                    h = fnv_u64(h, mask_y[yi]);
-                    fnv_u64(h, fold_triples(s, consts, &tri_xy, x, y))
-                })
-                .collect();
+            vecs.clear();
+            if x == s.epsilon() || x.is_bottom() {
+                vecs.extend(elems.iter().map(|&y| exact(x, y)));
+            } else {
+                related_moves(s, consts, x, &mut related);
+                for &y in &related {
+                    outside[class[row(y)]] -= 1;
+                    vecs.push(exact(x, y));
+                }
+                for (&my, &n) in masks.iter().zip(&outside) {
+                    if n > 0 {
+                        vecs.push(code(xi, false, my, all_false));
+                    }
+                }
+                for &y in &related {
+                    outside[class[row(y)]] += 1;
+                }
+            }
             vecs.sort_unstable();
             vecs.dedup();
             let mut h = fnv_u64(FNV_OFFSET, mask_x[xi]);
-            for v in vecs {
+            for &v in &vecs {
                 h = fnv_u64(h, v);
             }
             h

@@ -117,8 +117,9 @@ impl FoolingInstance {
     /// [`crate::fingerprint::TYPE2_UNIVERSE_CAP`] (64) almost immediately
     /// (p ≥ 8 on the E08 instance), which silently turned the profile
     /// tier off and let every surviving pair reach the solver — the
-    /// E08/E09 regression. At cap 512 the O(|U|²) profile pass is still
-    /// orders of magnitude cheaper than the rank-2/3 games it prunes.
+    /// E08/E09 regression. At cap 512 the profile pass (O(|U|)
+    /// related-move probes) is far cheaper than the rank-2/3 games it
+    /// prunes.
     fn batch(&self) -> BatchSolver {
         BatchSolver::with_config(
             StructureArena::new(self.block_alphabet()),

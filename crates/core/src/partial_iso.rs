@@ -139,7 +139,9 @@ pub fn consistent_extension_seeded(
 /// relation (docs/SOLVER.md §9.4). The vectors sit in one flat buffer with
 /// a fixed stride of `⌈bits / 64⌉` words, where a seeding of `n` elements
 /// gives `n + (n+1)² + n(n+1) + n²` bits. Cost: that many probes per
-/// element, through the monomorphized [`ConcatOracle`].
+/// element, through the monomorphized [`ConcatOracle`] — but only for
+/// elements up to twice the longest seeded one and one longer element;
+/// every longer element shares that row ([`SeedTypes::of`]).
 ///
 /// ⊥ has a row too, after the universe's: its concat bits are all false
 /// (every ⊥ argument fails `R∘`) and it equals only the seeding's ⊥s, so
@@ -152,25 +154,53 @@ pub(crate) struct SeedTypes {
 impl SeedTypes {
     /// The seed types of every element of `s` against `seeding` (this
     /// side's half of the constant pairs).
+    ///
+    /// Every element longer than twice the longest non-⊥ seeded element
+    /// has the same type: it equals no seeded element and no product of
+    /// two, is never an operand of a seeded element, is not its own
+    /// square, and `x = x·s`, `x = s·x` hold iff `s = ε`. So only the
+    /// first such element is probed, and its row is copied to the rest.
     pub(crate) fn of(s: &FactorStructure, seeding: &[FactorId]) -> SeedTypes {
         use fc_logic::ConcatView as V;
+        let longest = seeding
+            .iter()
+            .filter(|e| !e.is_bottom())
+            .map(|&e| s.len_of(e))
+            .max()
+            .unwrap_or(0);
+        let is_long = |e: usize| s.len_of(FactorId(e as u32)) > 2 * longest;
         match s.concat_view() {
-            V::Dense(v) => SeedTypes::of_on(v, s.universe_len(), seeding),
-            V::Succinct(v) => SeedTypes::of_on(v, s.universe_len(), seeding),
+            V::Dense(v) => SeedTypes::of_on(v, s.universe_len(), seeding, is_long),
+            V::Succinct(v) => SeedTypes::of_on(v, s.universe_len(), seeding, is_long),
         }
     }
 
-    fn of_on(view: impl ConcatOracle, universe_len: usize, seeding: &[FactorId]) -> SeedTypes {
+    fn of_on(
+        view: impl ConcatOracle,
+        universe_len: usize,
+        seeding: &[FactorId],
+        is_long: impl Fn(usize) -> bool,
+    ) -> SeedTypes {
         let n = seeding.len();
         let bits = n + (n + 1) * (n + 1) + n * (n + 1) + n * n;
         let stride = bits.div_ceil(64);
         let mut words = vec![0u64; stride * (universe_len + 1)];
-        for (e, row) in words.chunks_exact_mut(stride).enumerate() {
+        let mut long_row = None;
+        for e in 0..=universe_len {
+            let at = e * stride;
             let x = if e == universe_len {
                 FactorId::BOTTOM
             } else {
+                if is_long(e) {
+                    if let Some(first) = long_row {
+                        words.copy_within(first..first + stride, at);
+                        continue;
+                    }
+                    long_row = Some(at);
+                }
                 FactorId(e as u32)
             };
+            let row = &mut words[at..at + stride];
             let ext = |i: usize| if i < n { seeding[i] } else { x };
             let mut bit = 0usize;
             let mut push = |holds: bool| {

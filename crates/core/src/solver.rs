@@ -1263,5 +1263,36 @@ mod tests {
         let game = GamePair::from_parts(Arc::new(long), Arc::new(short), constant_pairs);
         assert_eq!(game.a.backend_kind(), BackendKind::Succinct);
         assert_guide_matches_pairwise(&game);
+        // Two succinct structures, which share their long seed-type row
+        // (every element longer than 2) in discovery order, not as a
+        // suffix of the ids.
+        let (a, b) = (
+            Arc::new(FactorStructure::with_backend(
+                thue_morse(12),
+                &ab,
+                BackendKind::Succinct,
+            )),
+            Arc::new(FactorStructure::with_backend(
+                Word::from("aabbabaabba"),
+                &ab,
+                BackendKind::Succinct,
+            )),
+        );
+        let constant_pairs = a
+            .constants_vector()
+            .into_iter()
+            .zip(b.constants_vector())
+            .collect();
+        assert_guide_matches_pairwise(&GamePair::from_parts(a, b, constant_pairs));
+        // A seeding that holds a 2-letter element, so the shared row
+        // starts above length 4.
+        let (a, b) = (
+            Arc::new(FactorStructure::new(Word::from("abaababaab"), &ab)),
+            Arc::new(FactorStructure::new(Word::from("ababaabab"), &ab)),
+        );
+        let ab_pair = (a.id_of(b"ab").unwrap(), b.id_of(b"ab").unwrap());
+        let mut with_ab = vec![ab_pair];
+        with_ab.extend(a.constants_vector().into_iter().zip(b.constants_vector()));
+        assert_guide_matches_pairwise(&GamePair::from_parts(a, b, with_ab));
     }
 }

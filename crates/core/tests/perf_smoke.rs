@@ -9,9 +9,11 @@
 //! batch engine — blows through them by an order of magnitude;
 //! `scripts/check.sh` runs these tests in release mode as tripwires.
 
+use fc_games::fingerprint::rank2_type_profile;
 use fc_games::hintikka;
 use fc_games::solver::EfSolver;
 use fc_games::{GamePair, TransTable};
+use fc_logic::{BackendKind, FactorStructure};
 use fc_words::{Alphabet, Word};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,6 +111,27 @@ fn e08_e09_fooling_scan_within_budget_and_profile_pruned() {
             "{name} scan perf regression: took {elapsed:?} (budget {budget:?})"
         );
     }
+}
+
+#[test]
+fn rank2_profile_of_a45b45_within_budget() {
+    // The rank-2 type profile probes only the few second moves related to
+    // each first move. On a⁴⁵b⁴⁵ (|U| = 2,116, succinct) the pairwise
+    // |U|² loop it replaced took ~3.7 s (release, 2 cores); the budget
+    // leaves ~65× headroom over the related-moves computation (~15 ms).
+    let budget = Duration::from_secs(1);
+    let w = Word::from(format!("{}{}", "a".repeat(45), "b".repeat(45)).as_str());
+    let s = FactorStructure::new(w, &Alphabet::ab());
+    assert_eq!(s.backend_kind(), BackendKind::Succinct);
+    assert_eq!(s.universe_len(), 2116);
+    let start = Instant::now();
+    let profile = rank2_type_profile(&s);
+    let elapsed = start.elapsed();
+    println!("rank-2 profile of a45b45 (|U| = 2116): {elapsed:.3?} ({profile:#018x})");
+    assert!(
+        elapsed < budget,
+        "rank-2 profile perf regression: took {elapsed:?} (budget {budget:?})"
+    );
 }
 
 #[test]
