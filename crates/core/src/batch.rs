@@ -19,12 +19,12 @@
 //!   repeat queries are free), an **arithmetic tier** (the process-wide
 //!   [`ArithOracle`]: O(1) class-table verdicts for unary and
 //!   same-primitive-root pairs, confirming *and* refuting, before any
-//!   structure exists), fingerprint-based refutation of inequivalent
-//!   pairs *without* entering the game, canonical-pair sharing through a
-//!   verdict memo and, on a table shared with an outer engine
-//!   ([`BatchSolver::share_table`]), the table's root entries (one tier
-//!   cascade, see [`BatchSolver`]) and union-find class merging for
-//!   [`BatchSolver::classify`].
+//!   structure exists), fingerprint- and (at k ≥ 2) rank-2-profile-based
+//!   refutation of inequivalent pairs *without* entering the game,
+//!   canonical-pair sharing through a verdict memo and, on a table shared
+//!   with an outer engine ([`BatchSolver::share_table`]), the table's root
+//!   entries (one tier cascade, see [`BatchSolver`]) and union-find class
+//!   merging for [`BatchSolver::classify`].
 //!
 //! The batch is one sequential cascade. Its only parallelism is the inner
 //! two-ply search of one game ([`EfSolver::equivalent_par`], chosen by
@@ -36,10 +36,10 @@
 //! none; a parallel search without one creates its own
 //! ([`EfSolver::equivalent_par`]).
 //!
-//! Every optimisation is semantically invisible: fingerprint refutations
-//! are debug-asserted against the exact solver, and the differential
-//! suite pins `classify == hintikka::classes_naive` on the exhaustive
-//! Σ^{≤4} window.
+//! Every optimisation is semantically invisible: fingerprint and rank-2
+//! refutations are debug-asserted against the exact solver, and the
+//! differential suite pins `classify == hintikka::classes_naive` on the
+//! exhaustive Σ^{≤4} window.
 //!
 //! All words in one arena share a single alphabet Σ, fixed at
 //! construction. Padding Σ with letters absent from both words of a pair
@@ -53,7 +53,7 @@
 use crate::arena::GamePair;
 use crate::arith::{ArithOracle, PeriodicTable};
 use crate::canon;
-use crate::fingerprint::{rank2_type_profile, Fingerprint, TYPE2_UNIVERSE_CAP};
+use crate::fingerprint::{rank2_type_profile, Fingerprint};
 use crate::semilinear::fit_tail;
 use crate::solver::{EfSolver, SolverStats};
 use crate::ttable::{TransTable, TransTableStats};
@@ -86,8 +86,8 @@ pub struct StructureArena {
     /// Lazily-memoized rank-2 type profiles (see
     /// [`crate::fingerprint::rank2_type_profile`]): O(|U|) related-move
     /// probes per word, still dearer than the fingerprint, so only
-    /// computed for words whose pairs actually survive the cheap
-    /// fingerprint layers.
+    /// computed for words whose pairs survive the cheap fingerprint
+    /// layers at some rank k ≥ 2.
     rank2: Vec<OnceLock<u64>>,
     /// `(primitive root, exponent)` per word, computed at intern (O(|w|)
     /// border scan) — the arithmetic tier's eligibility data.
@@ -193,15 +193,10 @@ impl StructureArena {
         self.fingerprints[id].get_or_init(|| Fingerprint::of(self.structure(id)))
     }
 
-    /// The word's rank-2 type profile, computed on first request and
-    /// memoized; `None` above the `cap` on universe size (see
-    /// [`BatchConfig::rank2_universe_cap`]).
-    pub fn rank2_profile(&self, id: WordId, cap: usize) -> Option<u64> {
-        let s = self.structure(id);
-        if s.universe_len() > cap {
-            return None;
-        }
-        Some(*self.rank2[id].get_or_init(|| rank2_type_profile(s)))
+    /// The word's rank-2 type profile, computed (with its structure) on
+    /// first request and memoized.
+    pub fn rank2_profile(&self, id: WordId) -> u64 {
+        *self.rank2[id].get_or_init(|| rank2_type_profile(self.structure(id)))
     }
 
     /// Number of structures actually built so far (≤ words interned).
@@ -316,19 +311,11 @@ impl std::fmt::Display for BatchStats {
     }
 }
 
-/// Tuning knobs for a [`BatchSolver`].
+/// Tuning knobs for a [`BatchSolver`]. Every tier without a knob here
+/// (fingerprint, rank-2 profile at k ≥ 2, canonical memo, table root)
+/// always runs: each is sound and never changes a verdict.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Consult the lazily-memoized rank-2 type profile of words whose
-    /// universe has at most this many elements; `None` turns the tier
-    /// off (the default). Sound at every rank ≥ 2 and never changes
-    /// verdicts. The per-word pass probes each element's few related
-    /// second moves (O(|U|) per word, not |U|²); the caps choose which
-    /// words it runs on: small-word window classifies keep it off, the
-    /// unary scans and periodic tables use [`TYPE2_UNIVERSE_CAP`], and the
-    /// fooling searches (E08/E09), whose saved games are far dearer, use
-    /// 512. The caps predate the O(|U|) pass and were not re-tuned for it.
-    pub rank2_universe_cap: Option<usize>,
     /// Consult the arithmetic oracle ([`ArithOracle`]) before any
     /// structure or fingerprint exists: unary pairs `aᵖ` vs `a^q` (rank-3
     /// only from an already-warm table) and same-primitive-root pairs are
@@ -352,7 +339,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
-            rank2_universe_cap: None,
             use_arith: true,
             arith_periodic: false,
             solver_threads: 1,
@@ -364,9 +350,10 @@ impl Default for BatchConfig {
 ///
 /// Every query walks one cascade of sound shortcut tiers, cheapest first,
 /// and stops at the first tier that answers: identity → pair
-/// memo → arithmetic oracle → fingerprint → rank-2 profile → canonical
-/// memo → shared transposition-table root → exact solver. This is the
-/// only place the order is written down; `fc serve`'s `game` and
+/// memo → arithmetic oracle → fingerprint → rank-2 profile (k ≥ 2, every
+/// word: its O(|U|) pass is far cheaper than the games it refutes) →
+/// canonical memo → shared transposition-table root → exact solver. This
+/// is the only place the order is written down; `fc serve`'s `game` and
 /// `classify` requests answer through it too.
 pub struct BatchSolver {
     arena: StructureArena,
@@ -496,15 +483,8 @@ impl BatchSolver {
         {
             return Some((false, Tier::Fingerprint));
         }
-        if let Some(cap) = self.config.rank2_universe_cap.filter(|_| k >= 2) {
-            if let (Some(a), Some(b)) = (
-                self.arena.rank2_profile(i, cap),
-                self.arena.rank2_profile(j, cap),
-            ) {
-                if a != b {
-                    return Some((false, Tier::Rank2));
-                }
-            }
+        if k >= 2 && self.arena.rank2_profile(i) != self.arena.rank2_profile(j) {
+            return Some((false, Tier::Rank2));
         }
         // The canonical layers: first the exact canonical memo (letter-
         // renamed / swapped images of an already-decided pair), then a
@@ -724,7 +704,6 @@ pub fn periodic_table_builder(k: u32, root: &Word, window: u64) -> Option<Period
     let mut batch = BatchSolver::with_config(
         arena,
         BatchConfig {
-            rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
             use_arith: false,
             ..BatchConfig::default()
         },
@@ -803,10 +782,12 @@ mod tests {
         Alphabet::ab().words_up_to(max_len).collect()
     }
 
-    /// aabaa / abaab and its a↔b renaming bbabb / babba: a pair the
-    /// fingerprint does not refute at k = 2, so it reaches the solver.
+    /// aababaaaba / abaaababaa and its a↔b renaming bbababbbab /
+    /// babbbababb: a pair no cheap tier answers at k = 2, so it reaches
+    /// the solver (the only such pair over {a, b} up to length 10, up to
+    /// renaming).
     fn renamed_pairs() -> Vec<Word> {
-        ["aabaa", "abaab", "bbabb", "babba"]
+        ["aababaaaba", "abaaababaa", "bbababbbab", "babbbababb"]
             .into_iter()
             .map(Word::from)
             .collect()
@@ -1025,11 +1006,11 @@ mod tests {
 
     #[test]
     fn canonical_tier_collapses_renamed_and_swapped_pairs() {
-        // (aabaa, abaab), (bbabb, babba) [letter swap], (abaab, aabaa)
-        // [argument swap] share one canonical pair: after the first is
-        // solved, the others are canon-memo hits — no extra game, no extra
-        // structure beyond the words themselves. The fingerprint does not
-        // refute the pair at k = 2, so it reaches the canonical tier.
+        // The pair, its letter swap and its argument swap share one
+        // canonical pair: after the first is solved, the others are
+        // canon-memo hits — no extra game, no extra structure beyond the
+        // words themselves. No refutation tier answers the pair at k = 2,
+        // so it reaches the canonical tier.
         let words = renamed_pairs();
         let (arena, ids) = StructureArena::for_words(&words);
         let sigma = arena.alphabet().clone();

@@ -60,9 +60,8 @@
 //! related set R and `d` distinct masks (see [`rank2_type_profile`]).
 //! It is still not part of the eagerly-built `Fingerprint`:
 //! [`crate::batch::StructureArena`] memoizes it lazily, only for words
-//! that survive the cheap layers, and only under the batch's universe cap
-//! ([`crate::batch::BatchConfig::rank2_universe_cap`], usually
-//! [`TYPE2_UNIVERSE_CAP`]).
+//! whose pairs survive the cheap layers at some rank k ≥ 2, and computes
+//! it at every universe size.
 //!
 //! Note what is deliberately **absent**: raw length and per-letter Parikh
 //! counts are *not* ≡_k-invariants (`a³ ≡₁ a⁴` is the paper's minimal
@@ -89,13 +88,6 @@ use fc_logic::{FactorId, FactorStructure};
 /// `k + 1 > FACTOR_LEVEL_CAP` compare at the cap (still sound — a coarser
 /// invariant refutes less, never more).
 pub const FACTOR_LEVEL_CAP: usize = 8;
-
-/// Universe-size cap for the rank-2 type profile in the batches whose
-/// games are cheap (the unary scans and periodic tables). The profile
-/// costs O(|U|) related-move probes per word ([`rank2_type_profile`]);
-/// the arena never computes it above the cap (still sound — a missing
-/// invariant only weakens the filter).
-pub const TYPE2_UNIVERSE_CAP: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -314,8 +306,7 @@ fn related_moves(s: &FactorStructure, consts: &[FactorId], x: FactorId, out: &mu
 ///
 /// Like every fingerprint component, the profile is only comparable
 /// between structures over the same Σ, and `w ≡_k v` for any `k ≥ 2`
-/// forces equal profiles — unequal profiles refute. Callers are expected
-/// to gate on [`TYPE2_UNIVERSE_CAP`]; the computation itself has no cap.
+/// forces equal profiles — unequal profiles refute.
 pub fn rank2_type_profile(s: &FactorStructure) -> u64 {
     let consts = &s.constants_vector();
     let elems: Vec<FactorId> = s

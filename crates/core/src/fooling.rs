@@ -109,22 +109,15 @@ impl FoolingInstance {
             .fold(Alphabet::from_symbols(b""), |s, w| s.extended_by(w))
     }
 
-    /// A batch solver for this instance's scans: rank-2 profiles on, inner
-    /// solver in auto-parallel mode (the confirmations at rank ≥ 2 are the
-    /// few heavy games where the solver's top-level fan-out pays off).
-    ///
-    /// The rank-2 profile cap is 512: the scan words `w₁·uᵖ·w₂` grow past
-    /// [`crate::fingerprint::TYPE2_UNIVERSE_CAP`] (64) almost immediately
-    /// (p ≥ 8 on the E08 instance), which silently turned the profile
-    /// tier off and let every surviving pair reach the solver — the
-    /// E08/E09 regression. At cap 512 the profile pass (O(|U|)
-    /// related-move probes) is far cheaper than the rank-2/3 games it
-    /// prunes.
+    /// A batch solver for this instance's scans, inner solver in
+    /// auto-parallel mode (the confirmations at rank ≥ 2 are the few heavy
+    /// games where the solver's top-level fan-out pays off). The cascade's
+    /// rank-2 profile tier refutes most surviving scan pairs: its O(|U|)
+    /// pass is far cheaper than the rank-2/3 games it prunes.
     fn batch(&self) -> BatchSolver {
         BatchSolver::with_config(
             StructureArena::new(self.block_alphabet()),
             BatchConfig {
-                rank2_universe_cap: Some(512),
                 solver_threads: 0,
                 ..BatchConfig::default()
             },

@@ -10,12 +10,12 @@
 //! Both the minimal-pair scan and the class tables run on the bulk engine
 //! of [`crate::batch`]: one [`StructureArena`] interns `a⁰ … a^limit` once
 //! (the scan previously rebuilt `a^q`'s O(q²) concat table for every `p`),
-//! fingerprints refute inequivalent pairs without a game, and the verdict
-//! memo is shared across the whole scan. The definitional per-pair loops
+//! fingerprints and (at k ≥ 2) rank-2 type profiles refute inequivalent
+//! pairs without a game, and the verdict memo is shared across the whole
+//! scan. The definitional per-pair loops
 //! live in the test module as `*_naive`, the differential baseline.
 
-use crate::batch::{BatchConfig, BatchSolver, BatchStats, StructureArena, WordId};
-use crate::fingerprint::TYPE2_UNIVERSE_CAP;
+use crate::batch::{BatchSolver, BatchStats, StructureArena, WordId};
 use fc_words::semilinear::{LinearSet, SemilinearSet};
 use fc_words::{Alphabet, Word};
 
@@ -31,8 +31,7 @@ pub fn minimal_unary_pair(k: u32, limit: usize) -> Option<(usize, usize)> {
 /// and is preserved exactly: the batch layer only removes redundant
 /// structure builds and fingerprint-refutable game runs.
 pub fn minimal_unary_pair_with_stats(k: u32, limit: usize) -> (Option<(usize, usize)>, BatchStats) {
-    let mut batch =
-        BatchSolver::with_config(StructureArena::new(Alphabet::unary()), unary_config());
+    let mut batch = BatchSolver::new(StructureArena::new(Alphabet::unary()));
     // Interning is lazy: `a^q` is only built (and fingerprinted) when the
     // scan reaches `q`, so an early hit — the common case once the limit
     // exceeds the minimal pair — never pays for the words beyond it.
@@ -71,18 +70,7 @@ fn unary_batch(limit: usize) -> (BatchSolver, Vec<WordId>) {
     let ids: Vec<WordId> = (0..=limit)
         .map(|n| arena.intern(&Word::from("a").pow(n)))
         .collect();
-    (BatchSolver::with_config(arena, unary_config()), ids)
-}
-
-/// Unary pairs past tiny exponents share every cheap fingerprint
-/// component, while their rank-2 games are the scan's whole cost — the
-/// lazily-memoized rank-2 type profile is exactly the trade worth making
-/// here (see [`BatchConfig::rank2_universe_cap`]).
-fn unary_config() -> BatchConfig {
-    BatchConfig {
-        rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
-        ..BatchConfig::default()
-    }
+    (BatchSolver::new(arena), ids)
 }
 
 /// A compact rendering of the class table for reports: one line per class.

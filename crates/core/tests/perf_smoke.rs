@@ -69,16 +69,15 @@ fn batch_classify_window4_rank2_within_budget() {
 
 #[test]
 fn e08_e09_fooling_scan_within_budget_and_profile_pruned() {
-    // PR-9 regression tripwire: the E08/E09 fooling scans at limit 20 had
-    // crept from ~0.21 s / ~0.72 s (PR-2) to ~0.86 s / ~2.7 s because the
-    // scan words' rank-2 type profiles were silently skipped — their
-    // universes exceed the default `rank2_universe_cap`, so every
-    // same-class candidate pair went to the full solver. `fooling::batch`
-    // now raises the cap to 512; the stats assertions below pin the
-    // *mechanism* (nearly everything profile- or arith-refuted, at most a
-    // few games played), which trips deterministically even on noisy or
-    // contended machines, and the generous wall budget catches only
-    // order-of-magnitude collapses.
+    // Regression tripwire: the E08/E09 fooling scans at limit 20 once
+    // crept from ~0.21 s / ~0.72 s to ~0.86 s / ~2.7 s because the scan
+    // words' rank-2 type profiles were skipped above a universe-size cap,
+    // so every same-class candidate pair went to the full solver. The
+    // cascade now runs the profile tier on every word at k ≥ 2; the stats
+    // assertions below pin the *mechanism* (nearly everything profile- or
+    // arith-refuted, at most a few games played), which trips
+    // deterministically even on noisy or contended machines, and the
+    // generous wall budget catches only order-of-magnitude collapses.
     use fc_games::fooling::FoolingInstance;
     let budget = Duration::from_secs(25);
     for (name, part_b, expected_states) in [("E08", "b", 3292u64), ("E09", "ba", 7015)] {
@@ -131,6 +130,38 @@ fn rank2_profile_of_a45b45_within_budget() {
     assert!(
         elapsed < budget,
         "rank-2 profile perf regression: took {elapsed:?} (budget {budget:?})"
+    );
+}
+
+#[test]
+fn rank2_profile_refutes_a60ba60_vs_a60ba62_within_budget() {
+    // a⁶⁰ba⁶⁰ / a⁶⁰ba⁶² share every fingerprint component, and the exact
+    // solver takes 40–50 s to refute them at k = 2 (release, 2 cores). Their
+    // rank-2 profiles differ, which refutes every k ≥ 2 without a game;
+    // each takes ~55 ms in release and ~0.6 s in debug.
+    let budget = Duration::from_secs(1);
+    let sigma = Alphabet::ab();
+    let profile_of = |tail: usize| {
+        let w = Word::from(format!("{}b{}", "a".repeat(60), "a".repeat(tail)).as_str());
+        let s = FactorStructure::new(w, &sigma);
+        let start = Instant::now();
+        let profile = rank2_type_profile(&s);
+        let elapsed = start.elapsed();
+        println!(
+            "rank-2 profile of a60ba{tail} (|U| = {}): {elapsed:.3?}",
+            s.universe_len()
+        );
+        assert!(
+            elapsed < budget,
+            "rank-2 profile perf regression on a60ba{tail}: took {elapsed:?} \
+             (budget {budget:?})"
+        );
+        profile
+    };
+    assert_ne!(
+        profile_of(60),
+        profile_of(62),
+        "the profiles must refute a60ba60 ≡₂ a60ba62"
     );
 }
 

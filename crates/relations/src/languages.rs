@@ -7,8 +7,7 @@
 //! defines `L` (Lemma 3.5), reproducing the paper's route to
 //! `L ∉ 𝓛(FC)`.
 
-use fc_games::batch::{BatchConfig, BatchSolver, BatchStats, StructureArena};
-use fc_games::fingerprint::TYPE2_UNIVERSE_CAP;
+use fc_games::batch::{BatchSolver, BatchStats, StructureArena};
 use fc_words::{Alphabet, Word};
 
 /// A solver-confirmed fooling pair for a language at rank `k`.
@@ -201,14 +200,7 @@ impl PaperLanguage {
                 candidates.push((inside, outside, (p, q)));
             }
         }
-        let mut batch = BatchSolver::with_config(
-            StructureArena::new(sigma),
-            BatchConfig {
-                rank2_universe_cap: Some(TYPE2_UNIVERSE_CAP),
-                solver_threads: 1,
-                ..BatchConfig::default()
-            },
-        );
+        let mut batch = BatchSolver::new(StructureArena::new(sigma));
         for (inside, outside, exponents) in candidates {
             let i = batch.intern(&inside);
             let j = batch.intern(&outside);

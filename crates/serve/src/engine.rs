@@ -185,6 +185,9 @@ struct Totals {
     /// `game` requests answered by the arithmetic tier (identical words
     /// included), with no structure and no game.
     arith_game_hits: u64,
+    /// `game` requests refuted by the rank-2 type profile (k ≥ 2), with no
+    /// game.
+    rank2_game_hits: u64,
     /// `game` requests answered by the table's canonical root entry (a
     /// repeat, renamed, or swapped pair), with no game.
     canon_game_hits: u64,
@@ -577,9 +580,9 @@ impl ServiceEngine {
         // table: arithmetic (unary and same-root pairs; rank 3 only from an
         // already-warm table, see [`ServiceEngine::new`]; the periodic
         // route classifies `u^0..u^window` once per (k, root)), fingerprint,
-        // the canonical root entry a repeat, renamed or swapped pair left
-        // behind, and only then the solver. Which tier answered is visible
-        // only in `stats`.
+        // rank-2 profile (k ≥ 2), the canonical root entry a repeat,
+        // renamed or swapped pair left behind, and only then the solver.
+        // Which tier answered is visible only in `stats`.
         let (arena, ids) = StructureArena::for_words(&[Word::from(w), Word::from(v)]);
         let mut batch = BatchSolver::with_config(
             arena,
@@ -600,6 +603,7 @@ impl ServiceEngine {
             // they count as arithmetic hits, the oracle's equal-words route.
             let arith = ids[0] == ids[1] || s.arith_confirmations + s.arith_refutations > 0;
             t.arith_game_hits += u64::from(arith);
+            t.rank2_game_hits += s.rank2_refutations;
             t.canon_game_hits += s.table_root_hits;
         }
         let mut payload = Payload::new();
@@ -840,6 +844,10 @@ impl ServiceEngine {
             "arith".to_string(),
             Value::object([("game_hits", num(t.arith_game_hits))]),
         );
+        payload.insert(
+            "rank2".to_string(),
+            Value::object([("game_hits", num(t.rank2_game_hits))]),
+        );
         let tt = self.game_table.stats();
         payload.insert(
             "table".to_string(),
@@ -957,16 +965,31 @@ mod tests {
     }
 
     #[test]
+    fn game_rank2_refutations_are_counted() {
+        let e = engine();
+        // aabaa / abaab agree on every fingerprint component at k = 2, but
+        // not on the rank-2 type profile: refuted without a game.
+        let resp = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":2}"#);
+        assert!(resp.contains(r#""equivalent":false"#), "{resp}");
+        // The profile tier runs only at k ≥ 2.
+        e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":1}"#);
+        let stats = json::parse(&e.handle(r#"{"op":"stats"}"#)).unwrap();
+        let count = |group: &str, key: &str| stats.get(group).unwrap().get(key).unwrap().as_f64();
+        assert_eq!(count("rank2", "game_hits"), Some(1.0), "{stats:?}");
+        assert_eq!(count("solver", "games"), Some(1.0), "{stats:?}");
+    }
+
+    #[test]
     fn game_canonical_root_path_answers_repeats_and_renamings() {
         let e = engine();
-        // Aperiodic pair with agreeing fingerprints: solver route, root
-        // verdict recorded.
-        let first = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":2}"#);
+        // Aperiodic pair with agreeing fingerprints and rank-2 profiles:
+        // solver route, root verdict recorded.
+        let first = e.handle(r#"{"op":"game","w":"aababaaaba","v":"abaaababaa","k":2}"#);
         // Repeat, argument-swapped, and letter-renamed variants are all
         // answered from the canonical root entry — byte-identical verdict.
-        let repeat = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":2}"#);
-        let swapped = e.handle(r#"{"op":"game","w":"abaab","v":"aabaa","k":2}"#);
-        let renamed = e.handle(r#"{"op":"game","w":"bbabb","v":"babba","k":2}"#);
+        let repeat = e.handle(r#"{"op":"game","w":"aababaaaba","v":"abaaababaa","k":2}"#);
+        let swapped = e.handle(r#"{"op":"game","w":"abaaababaa","v":"aababaaaba","k":2}"#);
+        let renamed = e.handle(r#"{"op":"game","w":"bbababbbab","v":"babbbababb","k":2}"#);
         let verdict = |resp: &str| resp.contains(r#""equivalent":true"#);
         assert_eq!(verdict(&first), verdict(&repeat));
         assert_eq!(verdict(&first), verdict(&swapped));
@@ -980,8 +1003,8 @@ mod tests {
         );
         assert!(table.get("inserts").unwrap().as_f64().unwrap() >= 1.0);
         // A different k is a different root entry — no false sharing.
-        let k1 = e.handle(r#"{"op":"game","w":"aabaa","v":"abaab","k":1}"#);
-        let direct = EfSolver::of("aabaa", "abaab").equivalent(1);
+        let k1 = e.handle(r#"{"op":"game","w":"aababaaaba","v":"abaaababaa","k":1}"#);
+        let direct = EfSolver::of("aababaaaba", "abaaababaa").equivalent(1);
         assert_eq!(verdict(&k1), direct);
     }
 

@@ -172,6 +172,30 @@ fn tcp_concurrent_clients_match_lockstep_client() {
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds replay each rank-2 refutation with the solver"
+)]
+fn rank2_profile_answers_the_long_game_pair_quickly() {
+    // a⁶⁰ba⁶⁰ vs a⁶⁰ba⁶² at k = 3: no arithmetic or fingerprint tier
+    // answers it and the exact solver needs 40–50 s even at k = 2, but the
+    // two words' rank-2 type profiles differ, which refutes every k ≥ 2.
+    let (addr, handle) = spawn_server(2);
+    let mut c = TestClient::connect(addr);
+    let budget = std::time::Duration::from_secs(5);
+    c.reader.get_ref().set_read_timeout(Some(budget)).unwrap();
+    let a60 = "a".repeat(60);
+    let line = format!(r#"{{"op":"game","w":"{a60}b{a60}","v":"{a60}baa{a60}","k":3}}"#);
+    let start = std::time::Instant::now();
+    let resp = c.round_trip(&line);
+    let elapsed = start.elapsed();
+    assert!(resp.contains(r#""equivalent":false"#), "{resp}");
+    assert!(elapsed < budget, "took {elapsed:?} (budget {budget:?})");
+    drop(c);
+    shutdown(addr, handle);
+}
+
+#[test]
 fn malformed_requests_do_not_kill_workers() {
     // One worker: if a bad request killed it, the follow-ups would hang.
     let (addr, handle) = spawn_server(1);

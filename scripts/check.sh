@@ -11,7 +11,7 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q (root suites, incl. the fc-games batch_diff + prop suites and the sampled rank-2 profile differential)"
+echo "==> tier-1: cargo build --release && cargo test -q (root suites, incl. the fc-games batch_diff, table_diff, differential + prop suites and the sampled rank-2 profile differential)"
 cargo build --release --offline
 cargo test -q --offline
 
@@ -32,7 +32,7 @@ echo "==> language, relation and spanner suites (fc-reglang, fc-relations, fc-sp
 cargo test -q --offline --release -p fc-reglang -p fc-relations -p fc-spanners
 cargo test -q --offline --release -p fc-logic --test analysis_corpus
 
-echo "==> solver perf smokes (E08 confirmation + batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires + rank-2 profile of a45b45 in 1 s, release, generous budgets)"
+echo "==> solver perf smokes (E08 confirmation + batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires + rank-2 profiles of a45b45 and a60ba60/a60ba62 in 1 s, release, generous budgets)"
 cargo test -q --offline --release -p fc-games --test perf_smoke -- --nocapture --skip pr10_
 
 echo "==> PR10 tripwires (guided-ordering state budgets on the E08/E09 confirmations; shared-table hit-rate floor on the E09 reconfirmation; release)"
